@@ -8,7 +8,7 @@ time; gradients are the same forward differences the solver uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -173,13 +173,31 @@ def error_norms(traj: Trajectory, reference: Trajectory,
                       combined=state_error + gradient_error)
 
 
-def interior_sup_deviation(traj: Trajectory, reference: Trajectory,
-                           delta: float, grid: GridSpec) -> float:
-    """Sup over time and over grid points in (delta, 1-delta) of the
-    maximal field deviation."""
+def deviation_profile(traj: Trajectory, reference: Trajectory
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Pointwise max over time and fields of |traj - reference|.
+
+    Returns the cell-center profile (rho, theta) and the node profile
+    (u and both components of w and b), one pass over the snapshots.
+    """
+    _check_matched(traj, reference)
+    s0 = reference.snapshots[0]
+    cell = np.zeros_like(s0.rho)
+    node = np.zeros_like(s0.u)
+    for s, r in zip(traj.snapshots, reference.snapshots):
+        np.maximum(cell, np.abs(s.rho - r.rho), out=cell)
+        np.maximum(cell, np.abs(s.theta - r.theta), out=cell)
+        np.maximum(node, np.abs(s.u - r.u), out=node)
+        np.maximum(node, np.abs(s.w - r.w).max(axis=-1), out=node)
+        np.maximum(node, np.abs(s.b - r.b).max(axis=-1), out=node)
+    return cell, node
+
+
+def interior_sup(profile: Tuple[np.ndarray, np.ndarray], delta: float,
+                 grid: GridSpec) -> float:
+    """Sup of a deviation_profile over the grid points in (delta, 1-delta)."""
     if not 0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
-    _check_matched(traj, reference)
     xc = grid.cell_centers
     xn = grid.node_positions
     mc = (xc > delta) & (xc < 1.0 - delta)
@@ -188,16 +206,15 @@ def interior_sup_deviation(traj: Trajectory, reference: Trajectory,
         raise ValueError(
             f"no grid point inside ({delta}, {1 - delta}); "
             f"minimum usable delta spacing is dx = {grid.dx}")
-    dev = 0.0
-    for s, r in zip(traj.snapshots, reference.snapshots):
-        if mc.any():
-            dev = max(dev, float(np.abs(s.rho - r.rho)[mc].max()),
-                      float(np.abs(s.theta - r.theta)[mc].max()))
-        if mn.any():
-            dev = max(dev, float(np.abs(s.u - r.u)[mn].max()),
-                      float(np.abs(s.w - r.w)[mn].max()),
-                      float(np.abs(s.b - r.b)[mn].max()))
-    return dev
+    cell, node = profile
+    return float(np.concatenate((cell[mc], node[mn])).max())
+
+
+def interior_sup_deviation(traj: Trajectory, reference: Trajectory,
+                           delta: float, grid: GridSpec) -> float:
+    """Sup over time and over grid points in (delta, 1-delta) of the
+    maximal field deviation."""
+    return interior_sup(deviation_profile(traj, reference), delta, grid)
 
 
 def interior_w_grad(traj: Trajectory, delta: float, grid: GridSpec) -> float:

@@ -48,7 +48,6 @@ class TimeConfig:
     dt_max: float = 1e-2
     dt_min: float = 1e-10
     snapshot_stride: int = 1
-    linear_solver_tol: float = 1e-12
 
     def __post_init__(self):
         if self.t_end < 0:
@@ -83,30 +82,45 @@ def tridiag_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
                   rhs: np.ndarray) -> np.ndarray:
     """Thomas algorithm for lower[i]*x[i-1] + diag[i]*x[i] + upper[i]*x[i+1].
 
-    lower[0] and upper[-1] are ignored. The systems assembled by the
-    implicit sub-steps are strictly diagonally dominant, so no pivoting
-    is needed.
+    rhs has shape (n,) or (n, m); the m columns share one elimination
+    and the result has the shape of rhs. lower[0] and upper[-1] are
+    ignored. The systems assembled by the implicit sub-steps are
+    strictly diagonally dominant, so no pivoting is needed.
+
+    The recurrences run on Python floats: they are IEEE doubles like
+    numpy's, and far cheaper to index one at a time than numpy scalars.
     """
     n = len(diag)
-    c = np.empty(n)
-    d = np.empty(n)
-    piv = diag[0]
-    if piv == 0.0:
-        raise ZeroDivisionError("zero pivot in tridiagonal solve")
-    c[0] = upper[0] / piv if n > 1 else 0.0
-    d[0] = rhs[0] / piv
-    for i in range(1, n):
-        piv = diag[i] - lower[i] * c[i - 1]
+    low = lower.tolist()
+    low[0] = 0.0
+    pivots = []
+    factors = []
+    c = 0.0
+    for lo, di, up in zip(low, diag.tolist(), upper.tolist()):
+        piv = di - lo * c
         if piv == 0.0:
             raise ZeroDivisionError("zero pivot in tridiagonal solve")
-        if i < n - 1:
-            c[i] = upper[i] / piv
-        d[i] = (rhs[i] - lower[i] * d[i - 1]) / piv
-    x = np.empty(n)
-    x[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return x
+        c = up / piv
+        pivots.append(piv)
+        factors.append(c)
+    factors.pop()
+    factors.reverse()
+    cols = []
+    for col in np.reshape(rhs.T, (-1, n)).tolist():
+        d = 0.0
+        ds = []
+        for lo, piv, r in zip(low, pivots, col):
+            d = (r - lo * d) / piv
+            ds.append(d)
+        x = ds.pop()
+        ds.reverse()
+        xs = [x]
+        for c, d in zip(factors, ds):
+            x = d - c * x
+            xs.append(x)
+        xs.reverse()
+        cols.append(xs)
+    return np.array(cols).T.reshape(rhs.shape)
 
 
 def _upwind_grad(f: np.ndarray, u: np.ndarray, dx: float) -> np.ndarray:
@@ -139,7 +153,7 @@ def stable_dt(state: FlowState, grid: GridSpec, params: PhysParams,
     speed = np.abs(state.u) + c
     j = int(np.argmax(speed))
     dt = cfg.cfl * grid.dx / max(speed[j], 1e-300)
-    if dt < cfg.dt_min:
+    if not dt >= cfg.dt_min:        # also rejects a NaN step
         raise StepFailure("CFL step below dt_min", "u", j, state.t)
     return min(dt, cfg.dt_max)
 
@@ -157,7 +171,7 @@ def advance_density(state: FlowState, grid: GridSpec, dt: float,
     if forcing is not None and forcing.continuity is not None:
         rho_new = rho_new + dt * forcing.continuity(grid.cell_centers,
                                                     state.t + dt)
-    if np.any(rho_new <= 0):
+    if not np.all(rho_new > 0):     # NaN fails too
         idx = int(np.argmin(rho_new))
         raise StepFailure("density became nonpositive", "rho", idx, state.t)
     return rho_new
@@ -239,14 +253,16 @@ def advance_transverse(state: FlowState, grid: GridSpec, dt: float,
     f_w = None
     if forcing is not None and forcing.transverse is not None:
         f_w = forcing.transverse(grid.node_positions, t_new)
+    # both components share one matrix, so one solve takes both columns
+    systems = [transverse_system(
+        grid, params, dt, rho_new, u_new, state.w[:, k], state.b[:, k],
+        wl[k], wr[k], None if f_w is None else f_w[:, k]) for k in (0, 1)]
+    lower, diag, upper, _ = systems[0]
     w_new = np.empty_like(state.w)
-    for k in (0, 1):
-        lower, diag, upper, rhs = transverse_system(
-            grid, params, dt, rho_new, u_new, state.w[:, k], state.b[:, k],
-            wl[k], wr[k], None if f_w is None else f_w[:, k])
-        w_new[1:-1, k] = tridiag_solve(lower, diag, upper, rhs)
-        w_new[0, k] = wl[k]
-        w_new[-1, k] = wr[k]
+    w_new[1:-1] = tridiag_solve(lower, diag, upper,
+                                np.column_stack([sy[3] for sy in systems]))
+    w_new[0] = wl
+    w_new[-1] = wr
     return w_new
 
 
@@ -306,12 +322,13 @@ def advance_induction(state: FlowState, grid: GridSpec, dt: float,
     f_b = None
     if forcing is not None and forcing.induction is not None:
         f_b = forcing.induction(grid.node_positions, state.t + dt)
+    systems = [induction_system(
+        grid, params, dt, u_new, w_new[:, k], state.b[:, k],
+        None if f_b is None else f_b[:, k]) for k in (0, 1)]
+    lower, diag, upper, _ = systems[0]
     b_new = np.zeros_like(state.b)
-    for k in (0, 1):
-        lower, diag, upper, rhs = induction_system(
-            grid, params, dt, u_new, w_new[:, k], state.b[:, k],
-            None if f_b is None else f_b[:, k])
-        b_new[1:-1, k] = tridiag_solve(lower, diag, upper, rhs)
+    b_new[1:-1] = tridiag_solve(lower, diag, upper,
+                                np.column_stack([sy[3] for sy in systems]))
     return b_new
 
 
@@ -365,7 +382,7 @@ def advance_temperature(state: FlowState, grid: GridSpec, dt: float,
         grid, params, dt, state.rho, rho_new, state.theta,
         u_new, w_new, b_new, f_th)
     theta_new = tridiag_solve(lower, diag, upper, rhs)
-    if np.any(theta_new <= 0):
+    if not np.all(theta_new > 0):   # NaN fails too
         idx = int(np.argmin(theta_new))
         raise StepFailure("temperature became nonpositive", "theta", idx,
                           state.t)

@@ -9,8 +9,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import BoundaryData, FlowState, GridSpec, PhysParams, Trajectory
-from .diagnostics import (ErrorNorms, error_norms, interior_sup_deviation,
-                          interior_w_grad)
+from .diagnostics import (ErrorNorms, deviation_profile, error_norms,
+                          interior_sup, interior_w_grad)
 from .solver import RunAborted, TimeConfig, run, run_limit
 
 DEFAULT_INTERIOR_DELTAS = (0.05, 0.1, 0.2)
@@ -49,13 +49,17 @@ class BLThickness(NamedTuple):
 def bl_thickness(traj: Trajectory, reference: Trajectory, tol: float,
                  grid: GridSpec) -> BLThickness:
     """Smallest grid multiple of dx (up to 1/4) whose interior excludes
-    all deviations above tol; saturates at 1/4 if none qualifies."""
+    all deviations above tol; saturates at 1/4 if none qualifies.
+
+    The time-max deviation profile is computed once and each candidate
+    interior is a mask over it."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    profile = deviation_profile(traj, reference)
     k = 1
     while k * grid.dx <= BL_DELTA_CEILING + 1e-12:
         delta = k * grid.dx
-        if interior_sup_deviation(traj, reference, delta, grid) <= tol:
+        if interior_sup(profile, delta, grid) <= tol:
             return BLThickness(delta=delta, saturated=False)
         k += 1
     return BLThickness(delta=BL_DELTA_CEILING, saturated=True)

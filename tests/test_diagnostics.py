@@ -167,6 +167,38 @@ class TestInteriorMeasures:
         inside = (xn > 0.2) & (xn < 0.8)
         assert dev == pytest.approx(prof[inside].max())
 
+    @pytest.mark.parametrize("delta", [0.01, 0.1, 0.3])
+    def test_sup_deviation_takes_every_field_and_snapshot(self, delta):
+        """Time and field maxima agree with a per-snapshot computation."""
+        grid = GridSpec(40)
+        n = grid.n_cells
+        rng = np.random.default_rng(7)
+
+        def state(t):
+            u = rng.normal(size=n + 1)
+            b = rng.normal(size=(n + 1, 2))
+            u[0] = u[-1] = 0.0
+            b[0] = b[-1] = 0.0
+            return FlowState(t=t, rho=0.5 + rng.random(n), u=u,
+                             w=rng.normal(size=(n + 1, 2)), b=b,
+                             theta=0.5 + rng.random(n))
+
+        times = np.array([0.0, 0.1, 0.2])
+        traj = Trajectory(snapshots=[state(t) for t in times],
+                          snapshot_times=times, diagnostics=(None,) * 3)
+        ref = Trajectory(snapshots=[state(t) for t in times],
+                         snapshot_times=times, diagnostics=(None,) * 3)
+        xc, xn = grid.cell_centers, grid.node_positions
+        mc = (xc > delta) & (xc < 1 - delta)
+        mn = (xn > delta) & (xn < 1 - delta)
+        expected = max(
+            max(np.abs(s.rho - r.rho)[mc].max(),
+                np.abs(s.theta - r.theta)[mc].max(),
+                np.abs(s.u - r.u)[mn].max(), np.abs(s.w - r.w)[mn].max(),
+                np.abs(s.b - r.b)[mn].max())
+            for s, r in zip(traj.snapshots, ref.snapshots))
+        assert interior_sup_deviation(traj, ref, delta, grid) == expected
+
     def test_sup_deviation_delta_validation(self):
         grid = GridSpec(128)
         traj = _single_snapshot(make_initial_state(grid, "uniform"))

@@ -18,6 +18,26 @@ def _dense(lower, diag, upper):
     return a
 
 
+def _thomas_on_numpy_scalars(lower, diag, upper, rhs):
+    """The Thomas recurrence indexed element by element on numpy arrays;
+    tridiag_solve must reproduce it bit for bit."""
+    n = len(diag)
+    c = np.empty(n)
+    d = np.empty(n)
+    c[0] = upper[0] / diag[0] if n > 1 else 0.0
+    d[0] = rhs[0] / diag[0]
+    for i in range(1, n):
+        piv = diag[i] - lower[i] * c[i - 1]
+        if i < n - 1:
+            c[i] = upper[i] / piv
+        d[i] = (rhs[i] - lower[i] * d[i - 1]) / piv
+    x = np.empty(n)
+    x[-1] = d[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = d[i] - c[i] * x[i + 1]
+    return x
+
+
 class TestTridiag:
     @given(st.integers(min_value=1, max_value=40), st.integers(0, 2 ** 31))
     @settings(max_examples=50, deadline=None)
@@ -31,10 +51,49 @@ class TestTridiag:
         x = tridiag_solve(lower, diag, upper, rhs)
         x_ref = np.linalg.solve(_dense(lower, diag, upper), rhs)
         np.testing.assert_allclose(x, x_ref, atol=1e-12, rtol=1e-12)
+        assert np.array_equal(
+            x, _thomas_on_numpy_scalars(lower, diag, upper, rhs))
+
+    @given(st.integers(min_value=1, max_value=40), st.integers(0, 2 ** 31))
+    @settings(max_examples=50, deadline=None)
+    def test_paired_columns(self, n, seed):
+        """An (n, 2) right-hand side matches the dense solve, and each
+        column is bit for bit the 1-D solve of that column."""
+        rng = np.random.default_rng(seed)
+        lower = rng.normal(size=n)
+        upper = rng.normal(size=n)
+        diag = 3.0 + np.abs(lower) + np.abs(upper) + rng.random(n)
+        rhs = rng.normal(size=(n, 2))
+        x = tridiag_solve(lower, diag, upper, rhs)
+        assert x.shape == (n, 2)
+        x_ref = np.linalg.solve(_dense(lower, diag, upper), rhs)
+        np.testing.assert_allclose(x, x_ref, atol=1e-12, rtol=1e-12)
+        for k in (0, 1):
+            assert np.array_equal(
+                x[:, k], tridiag_solve(lower, diag, upper, rhs[:, k]))
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 2), (2,), (2, 2)])
+    def test_smallest_systems(self, shape):
+        n = shape[0]
+        lower = np.array([7.0, -1.0][:n])     # lower[0] is ignored
+        diag = np.array([4.0, 3.0][:n])
+        upper = np.array([0.5, 9.0][:n])      # upper[-1] is ignored
+        rhs = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+        x = tridiag_solve(lower, diag, upper, rhs)
+        assert x.shape == shape
+        np.testing.assert_allclose(
+            x, np.linalg.solve(_dense(lower, diag, upper), rhs),
+            atol=1e-15, rtol=1e-15)
 
     def test_zero_pivot(self):
-        with pytest.raises(ZeroDivisionError):
-            tridiag_solve(np.zeros(3), np.zeros(3), np.zeros(3), np.ones(3))
+        for cols in ((), (2,)):
+            with pytest.raises(ZeroDivisionError):
+                tridiag_solve(np.zeros(3), np.zeros(3), np.zeros(3),
+                              np.ones((3,) + cols))
+            # a pivot that vanishes only after elimination: 1 - 1 * 1 = 0
+            with pytest.raises(ZeroDivisionError):
+                tridiag_solve(np.array([0.0, 1.0]), np.ones(2),
+                              np.array([1.0, 0.0]), np.ones((2,) + cols))
 
 
 class TestTimeConfig:
@@ -177,6 +236,22 @@ class TestRun:
                    BoundaryData.zero(), cfg)
         # far fewer snapshots than accepted steps
         assert len(traj.snapshots) < len(traj.diagnostics) / 2
+
+    def test_nan_state_fails_cleanly(self):
+        """NaN fails the positivity checks and the CFL step, so a NaN
+        state ends in StepFailure and RunAborted rather than a hang or
+        an InvalidStateError."""
+        grid = GridSpec(16)
+        u = np.zeros(grid.n_cells + 1)
+        u[5] = np.nan
+        state = make_initial_state(grid, {"rho": np.ones(grid.n_cells),
+                                          "theta": np.ones(grid.n_cells),
+                                          "u": u})
+        with pytest.raises(StepFailure):
+            step(state, grid, 1e-3, PhysParams(), BoundaryData.zero())
+        with pytest.raises(RunAborted):
+            run(state, grid, PhysParams(), BoundaryData.zero(),
+                TimeConfig(t_end=0.1))
 
     def test_abort_when_cfl_undercuts_dt_min(self):
         grid = GridSpec(16)

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planemhd.core import (BoundaryData, GridSpec, PhysParams, Trajectory,
-                           make_initial_state)
-from planemhd.diagnostics import ErrorNorms
+from planemhd.core import (BoundaryData, FlowState, GridSpec, PhysParams,
+                           Trajectory, make_initial_state)
+from planemhd.diagnostics import ErrorNorms, interior_sup_deviation
 from planemhd.solver import TimeConfig
-from planemhd.sweep import (BL_DELTA_CEILING, SweepPlan, SweepResult,
-                            _upper_hull, bl_thickness, fit_power_law,
-                            run_sweep, thickness_scaling_report)
+from planemhd.sweep import (BL_DELTA_CEILING, BLThickness, SweepPlan,
+                            SweepResult, _upper_hull, bl_thickness,
+                            fit_power_law, run_sweep,
+                            thickness_scaling_report)
 
 
 class TestFitPowerLaw:
@@ -108,6 +109,44 @@ class TestBlThickness:
         ref = _layer_trajectory(grid, 1.0, amplitude=0.0)
         with pytest.raises(ValueError):
             bl_thickness(ref, ref, 0.0, grid)
+
+    @given(st.sampled_from([16, 50, 96, 128]),
+           st.lists(st.tuples(st.floats(1e-3, 0.3), st.floats(0.0, 2.0),
+                              st.floats(1e-3, 0.3), st.floats(0.0, 0.5)),
+                    min_size=1, max_size=4),
+           st.floats(1e-3, 0.5))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force(self, n, layers, tol):
+        """The one-pass scan returns exactly the smallest k with
+        interior_sup_deviation(k*dx) <= tol, else saturates."""
+        grid = GridSpec(n)
+        xc, xn = grid.cell_centers, grid.node_positions
+        states = []
+        for i, (ell_w, amp_w, ell_r, amp_r) in enumerate(layers):
+            w = np.zeros((n + 1, 2))
+            w[:, i % 2] = amp_w * np.exp(-xn / ell_w)
+            b = np.zeros((n + 1, 2))
+            b[1:-1, 1] = amp_w * np.exp(-(1.0 - xn[1:-1]) / ell_w)
+            states.append(FlowState(
+                t=0.1 * i, rho=1.0 + amp_r * np.exp(-(1.0 - xc) / ell_r),
+                u=np.zeros(n + 1), w=w, b=b, theta=np.ones(n)))
+        times = 0.1 * np.arange(len(states))
+        traj = Trajectory(snapshots=states, snapshot_times=times,
+                          diagnostics=(None,) * len(states))
+        rest = make_initial_state(grid, "transverse-rest")
+        ref = Trajectory(
+            snapshots=[FlowState(t=t, rho=rest.rho, u=rest.u, w=rest.w,
+                                 b=rest.b, theta=rest.theta)
+                       for t in times],
+            snapshot_times=times, diagnostics=(None,) * len(states))
+        expected = BLThickness(delta=BL_DELTA_CEILING, saturated=True)
+        k = 1
+        while k * grid.dx <= BL_DELTA_CEILING + 1e-12:
+            if interior_sup_deviation(traj, ref, k * grid.dx, grid) <= tol:
+                expected = BLThickness(delta=k * grid.dx, saturated=False)
+                break
+            k += 1
+        assert bl_thickness(traj, ref, tol, grid) == expected
 
 
 class TestSweepPlan:
