@@ -10,6 +10,7 @@ condition on w.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -78,17 +79,65 @@ class ForcingSpec:
     energy: _Src = None
 
 
+# LAPACK dgtsv (Fortran calling convention, 64-bit integers) from the
+# OpenBLAS that numpy's wheels bundle and `import numpy` has already
+# loaded; None on builds that do not export it (numpy 1.x wheels, distro
+# and MKL builds), which fall back to _thomas_solve. The Fortran routine,
+# unlike LAPACKE_dgtsv, does not reject NaN input, so a NaN reaches the
+# positivity checks of the sub-steps on both paths.
+_dgtsv = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__),
+                 "scipy_dgtsv_64_", None)
+if _dgtsv is not None:
+    _int_p = ctypes.POINTER(ctypes.c_int64)
+    # N, NRHS, DL, D, DU, B, LDB, INFO
+    _dgtsv.argtypes = [_int_p, _int_p, ctypes.c_void_p, ctypes.c_void_p,
+                       ctypes.c_void_p, ctypes.c_void_p, _int_p, _int_p]
+    _dgtsv.restype = None
+
+
 def tridiag_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
                   rhs: np.ndarray) -> np.ndarray:
-    """Thomas algorithm for lower[i]*x[i-1] + diag[i]*x[i] + upper[i]*x[i+1].
+    """Solve lower[i]*x[i-1] + diag[i]*x[i] + upper[i]*x[i+1] = rhs[i].
 
     rhs has shape (n,) or (n, m); the m columns share one elimination
     and the result has the shape of rhs. lower[0] and upper[-1] are
-    ignored. The systems assembled by the implicit sub-steps are
-    strictly diagonally dominant, so no pivoting is needed.
+    ignored. A singular system raises ZeroDivisionError.
 
-    The recurrences run on Python floats: they are IEEE doubles like
-    numpy's, and far cheaper to index one at a time than numpy scalars.
+    Runs LAPACK dgtsv where numpy's OpenBLAS exports it, else the Thomas
+    recurrence of _thomas_solve. dgtsv pivots by rows, but the strictly
+    diagonally dominant systems of the implicit sub-steps never swap a
+    row, so both paths do the same elimination. Results may still differ
+    in the last bit: dgtsv subtracts multiples lower/diag of each row
+    where the Thomas recurrence divides by the pivot.
+    """
+    if _dgtsv is None:
+        return _thomas_solve(lower, diag, upper, rhs)
+    n = len(diag)
+    if len(lower) != n or len(upper) != n or len(rhs) != n:
+        raise ValueError("bands and right-hand side must have the length "
+                         "of diag")
+    # dgtsv overwrites all four arrays, so it gets fresh contiguous copies
+    dl = np.array(lower[1:], dtype=np.float64)
+    d = np.array(diag, dtype=np.float64)
+    du = np.array(upper[:-1], dtype=np.float64)
+    x = np.array(rhs, dtype=np.float64, order="F")
+    n_ = ctypes.c_int64(n)
+    info = ctypes.c_int64()
+    _dgtsv(n_, ctypes.c_int64(x.size // n), dl.ctypes.data, d.ctypes.data,
+           du.ctypes.data, x.ctypes.data, n_, info)
+    if info.value > 0:
+        raise ZeroDivisionError("zero pivot in tridiagonal solve")
+    return x
+
+
+def _thomas_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                  rhs: np.ndarray) -> np.ndarray:
+    """Thomas algorithm with the contract of tridiag_solve.
+
+    No pivoting, so it needs the diagonal dominance that the implicit
+    sub-steps guarantee. The recurrences run on Python floats: they are
+    IEEE doubles like numpy's, and far cheaper to index one at a time
+    than numpy scalars.
     """
     n = len(diag)
     low = lower.tolist()
@@ -154,7 +203,10 @@ def stable_dt(state: FlowState, grid: GridSpec, params: PhysParams,
     j = int(np.argmax(speed))
     dt = cfg.cfl * grid.dx / max(speed[j], 1e-300)
     if not dt >= cfg.dt_min:        # also rejects a NaN step
-        raise StepFailure("CFL step below dt_min", "u", j, state.t)
+        # name the field that is not finite at node j; u if both are
+        field = ("b" if np.isfinite(state.u[j])
+                 and not np.isfinite(state.b[j]).all() else "u")
+        raise StepFailure("CFL step below dt_min", field, j, state.t)
     return min(dt, cfg.dt_max)
 
 
@@ -212,22 +264,33 @@ def advance_velocity(state: FlowState, grid: GridSpec, dt: float,
     return u_new
 
 
+def _as_column(x: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """The node field x, shaped to broadcast against like, which is
+    (N+1,) for one component or (N+1, m) for m components."""
+    return x.reshape((-1,) + (1,) * (like.ndim - 1))
+
+
 def transverse_system(grid: GridSpec, params: PhysParams, dt: float,
                       rho_new: np.ndarray, u_new: np.ndarray,
-                      w_k: np.ndarray, b_k: np.ndarray,
-                      wl: float, wr: float,
-                      f_wk: Optional[np.ndarray] = None):
-    """Implicit system for one component of w at the interior nodes.
+                      w: np.ndarray, b: np.ndarray,
+                      wl: float | np.ndarray, wr: float | np.ndarray,
+                      f_w: Optional[np.ndarray] = None):
+    """Implicit system for w at the interior nodes.
 
-    wl, wr are the Dirichlet values at the end-of-step time.
+    w, b and f_w have shape (N+1,) for one component or (N+1, 2) for
+    both; the components share the matrix, and rhs has their shape.
+    wl, wr are the Dirichlet values at the end-of-step time, one per
+    component.
     """
     dx = grid.dx
     rho_n = interpolate_to_nodes(rho_new)
-    adv = u_new * _upwind_grad(w_k, u_new, dx)
-    b_x = _central_grad(b_k, dx)
-    rhs = rho_n * w_k - dt * (rho_n * adv - b_x)
-    if f_wk is not None:
-        rhs = rhs + dt * f_wk
+    rho_c = _as_column(rho_n, w)
+    u = _as_column(u_new, w)
+    adv = u * _upwind_grad(w, u, dx)
+    b_x = _central_grad(b, dx)
+    rhs = rho_c * w - dt * (rho_c * adv - b_x)
+    if f_w is not None:
+        rhs = rhs + dt * f_w
     a = params.mu * dt / dx ** 2
     m = grid.n_cells - 1
     lower = np.full(m, -a)
@@ -253,14 +316,10 @@ def advance_transverse(state: FlowState, grid: GridSpec, dt: float,
     f_w = None
     if forcing is not None and forcing.transverse is not None:
         f_w = forcing.transverse(grid.node_positions, t_new)
-    # both components share one matrix, so one solve takes both columns
-    systems = [transverse_system(
-        grid, params, dt, rho_new, u_new, state.w[:, k], state.b[:, k],
-        wl[k], wr[k], None if f_w is None else f_w[:, k]) for k in (0, 1)]
-    lower, diag, upper, _ = systems[0]
+    lower, diag, upper, rhs = transverse_system(
+        grid, params, dt, rho_new, u_new, state.w, state.b, wl, wr, f_w)
     w_new = np.empty_like(state.w)
-    w_new[1:-1] = tridiag_solve(lower, diag, upper,
-                                np.column_stack([sy[3] for sy in systems]))
+    w_new[1:-1] = tridiag_solve(lower, diag, upper, rhs)
     w_new[0] = wl
     w_new[-1] = wr
     return w_new
@@ -299,14 +358,18 @@ def _advance_transverse_limit(state: FlowState, grid: GridSpec, dt: float,
 
 
 def induction_system(grid: GridSpec, params: PhysParams, dt: float,
-                     u_new: np.ndarray, w_k: np.ndarray, b_k: np.ndarray,
-                     f_bk: Optional[np.ndarray] = None):
-    """Implicit system for one component of b at the interior nodes."""
+                     u_new: np.ndarray, w: np.ndarray, b: np.ndarray,
+                     f_b: Optional[np.ndarray] = None):
+    """Implicit system for b at the interior nodes.
+
+    w, b and f_b have shape (N+1,) for one component or (N+1, 2) for
+    both; the components share the matrix, and rhs has their shape.
+    """
     dx = grid.dx
-    flux = u_new * b_k - w_k
-    rhs = b_k - dt * _central_grad(flux, dx)
-    if f_bk is not None:
-        rhs = rhs + dt * f_bk
+    flux = _as_column(u_new, b) * b - w
+    rhs = b - dt * _central_grad(flux, dx)
+    if f_b is not None:
+        rhs = rhs + dt * f_b
     a = params.nu * dt / dx ** 2
     m = grid.n_cells - 1
     lower = np.full(m, -a)
@@ -322,13 +385,10 @@ def advance_induction(state: FlowState, grid: GridSpec, dt: float,
     f_b = None
     if forcing is not None and forcing.induction is not None:
         f_b = forcing.induction(grid.node_positions, state.t + dt)
-    systems = [induction_system(
-        grid, params, dt, u_new, w_new[:, k], state.b[:, k],
-        None if f_b is None else f_b[:, k]) for k in (0, 1)]
-    lower, diag, upper, _ = systems[0]
+    lower, diag, upper, rhs = induction_system(
+        grid, params, dt, u_new, w_new, state.b, f_b)
     b_new = np.zeros_like(state.b)
-    b_new[1:-1] = tridiag_solve(lower, diag, upper,
-                                np.column_stack([sy[3] for sy in systems]))
+    b_new[1:-1] = tridiag_solve(lower, diag, upper, rhs)
     return b_new
 
 

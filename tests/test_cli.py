@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planemhd
 from planemhd.cli import main
 
 RUN_CFG = """
@@ -114,3 +119,14 @@ class TestSweepCommand:
         assert (out / "thickness.csv").exists()
         fits = json.loads((out / "bl_fits.json").read_text())
         assert "alpha" in fits or "error" in fits
+
+
+def test_cli_import_leaves_out_scipy():
+    """The solver reaches LAPACK through numpy's own OpenBLAS; importing
+    scipy would cost every command its memory and start-up time."""
+    src = str(Path(planemhd.__file__).parents[1])
+    code = ("import sys; import planemhd.cli; "
+            "sys.exit('scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0

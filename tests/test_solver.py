@@ -5,10 +5,16 @@ from hypothesis import given, settings, strategies as st
 
 from planemhd.core import (BoundaryData, FlowState, GridSpec, PhysParams,
                            make_initial_state)
+from planemhd import solver
 from planemhd.solver import (RunAborted, StepFailure, TimeConfig,
-                             advance_density, advance_induction,
-                             advance_transverse, run, run_limit, stable_dt,
-                             step, tridiag_solve)
+                             _thomas_solve, advance_density,
+                             advance_induction, advance_transverse,
+                             induction_system, run, run_limit, stable_dt,
+                             step, transverse_system, tridiag_solve)
+
+# tridiag_solve (LAPACK dgtsv where numpy's OpenBLAS exports it) and its
+# Python fallback share one contract, which the tests below check on both
+SOLVERS = (tridiag_solve, _thomas_solve)
 
 
 def _dense(lower, diag, upper):
@@ -20,7 +26,7 @@ def _dense(lower, diag, upper):
 
 def _thomas_on_numpy_scalars(lower, diag, upper, rhs):
     """The Thomas recurrence indexed element by element on numpy arrays;
-    tridiag_solve must reproduce it bit for bit."""
+    _thomas_solve must reproduce it bit for bit."""
     n = len(diag)
     c = np.empty(n)
     d = np.empty(n)
@@ -52,7 +58,24 @@ class TestTridiag:
         x_ref = np.linalg.solve(_dense(lower, diag, upper), rhs)
         np.testing.assert_allclose(x, x_ref, atol=1e-12, rtol=1e-12)
         assert np.array_equal(
-            x, _thomas_on_numpy_scalars(lower, diag, upper, rhs))
+            _thomas_solve(lower, diag, upper, rhs),
+            _thomas_on_numpy_scalars(lower, diag, upper, rhs))
+
+    @pytest.mark.skipif(solver._dgtsv is None,
+                        reason="numpy's LAPACK does not export dgtsv")
+    @given(st.integers(min_value=1, max_value=600), st.integers(0, 2 ** 31),
+           st.sampled_from([(), (2,)]))
+    @settings(max_examples=50, deadline=None)
+    def test_dgtsv_matches_thomas(self, n, seed, cols):
+        rng = np.random.default_rng(seed)
+        lower = rng.normal(size=n)
+        upper = rng.normal(size=n)
+        diag = 3.0 + np.abs(lower) + np.abs(upper) + rng.random(n)
+        rhs = rng.normal(size=(n,) + cols)
+        x = tridiag_solve(lower, diag, upper, rhs)
+        x_ref = _thomas_solve(lower, diag, upper, rhs)
+        assert x.shape == x_ref.shape
+        assert np.abs(x - x_ref).max() <= 1e-14 * np.abs(x_ref).max()
 
     @given(st.integers(min_value=1, max_value=40), st.integers(0, 2 ** 31))
     @settings(max_examples=50, deadline=None)
@@ -64,13 +87,14 @@ class TestTridiag:
         upper = rng.normal(size=n)
         diag = 3.0 + np.abs(lower) + np.abs(upper) + rng.random(n)
         rhs = rng.normal(size=(n, 2))
-        x = tridiag_solve(lower, diag, upper, rhs)
-        assert x.shape == (n, 2)
         x_ref = np.linalg.solve(_dense(lower, diag, upper), rhs)
-        np.testing.assert_allclose(x, x_ref, atol=1e-12, rtol=1e-12)
-        for k in (0, 1):
-            assert np.array_equal(
-                x[:, k], tridiag_solve(lower, diag, upper, rhs[:, k]))
+        for solve in SOLVERS:
+            x = solve(lower, diag, upper, rhs)
+            assert x.shape == (n, 2)
+            np.testing.assert_allclose(x, x_ref, atol=1e-12, rtol=1e-12)
+            for k in (0, 1):
+                assert np.array_equal(
+                    x[:, k], solve(lower, diag, upper, rhs[:, k]))
 
     @pytest.mark.parametrize("shape", [(1,), (1, 2), (2,), (2, 2)])
     def test_smallest_systems(self, shape):
@@ -79,21 +103,23 @@ class TestTridiag:
         diag = np.array([4.0, 3.0][:n])
         upper = np.array([0.5, 9.0][:n])      # upper[-1] is ignored
         rhs = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
-        x = tridiag_solve(lower, diag, upper, rhs)
-        assert x.shape == shape
-        np.testing.assert_allclose(
-            x, np.linalg.solve(_dense(lower, diag, upper), rhs),
-            atol=1e-15, rtol=1e-15)
+        for solve in SOLVERS:
+            x = solve(lower, diag, upper, rhs)
+            assert x.shape == shape
+            np.testing.assert_allclose(
+                x, np.linalg.solve(_dense(lower, diag, upper), rhs),
+                atol=1e-15, rtol=1e-15)
 
     def test_zero_pivot(self):
-        for cols in ((), (2,)):
-            with pytest.raises(ZeroDivisionError):
-                tridiag_solve(np.zeros(3), np.zeros(3), np.zeros(3),
-                              np.ones((3,) + cols))
-            # a pivot that vanishes only after elimination: 1 - 1 * 1 = 0
-            with pytest.raises(ZeroDivisionError):
-                tridiag_solve(np.array([0.0, 1.0]), np.ones(2),
-                              np.array([1.0, 0.0]), np.ones((2,) + cols))
+        for solve in SOLVERS:
+            for cols in ((), (2,)):
+                with pytest.raises(ZeroDivisionError):
+                    solve(np.zeros(3), np.zeros(3), np.zeros(3),
+                          np.ones((3,) + cols))
+                # a pivot that vanishes only after elimination: 1 - 1*1 = 0
+                with pytest.raises(ZeroDivisionError):
+                    solve(np.array([0.0, 1.0]), np.ones(2),
+                          np.array([1.0, 0.0]), np.ones((2,) + cols))
 
 
 class TestTimeConfig:
@@ -159,6 +185,34 @@ def _sine_state(grid, which):
         b[:, 0] = prof
     return make_initial_state(grid, {"rho": np.ones(n), "theta": np.ones(n),
                                      "w": w, "b": b})
+
+
+class TestPairedSystems:
+    """Both components in one builder call give the matrix and, column by
+    column, bit for bit the right-hand side of the per-component call."""
+
+    def test_transverse_and_induction(self):
+        grid = GridSpec(16)
+        n = grid.n_cells
+        rng = np.random.default_rng(5)
+        params = PhysParams(mu=0.05, nu=0.7)
+        rho = 0.5 + rng.random(n)
+        u = rng.normal(0, 0.3, n + 1)
+        w, b, f = rng.normal(size=(3, n + 1, 2))
+        wl, wr = np.array([0.3, -0.1]), np.array([-0.2, 0.4])
+        paired = (transverse_system(grid, params, 1e-3, rho, u, w, b,
+                                    wl, wr, f),
+                  induction_system(grid, params, 1e-3, u, w, b, f))
+        for k in (0, 1):
+            single = (transverse_system(grid, params, 1e-3, rho, u,
+                                        w[:, k], b[:, k], wl[k], wr[k],
+                                        f[:, k]),
+                      induction_system(grid, params, 1e-3, u, w[:, k],
+                                       b[:, k], f[:, k]))
+            for both, one in zip(paired, single):
+                for band in range(3):
+                    assert np.array_equal(both[band], one[band])
+                assert np.array_equal(both[3][:, k], one[3])
 
 
 class TestImplicitDiffusionEigenmode:
@@ -252,6 +306,20 @@ class TestRun:
         with pytest.raises(RunAborted):
             run(state, grid, PhysParams(), BoundaryData.zero(),
                 TimeConfig(t_end=0.1))
+
+    @pytest.mark.parametrize("field", ["u", "b"])
+    def test_nan_abort_names_field(self, field):
+        """The CFL abort names the field that holds the NaN."""
+        grid = GridSpec(16)
+        n = grid.n_cells
+        fields = {"rho": np.ones(n), "theta": np.ones(n),
+                  "u": np.zeros(n + 1), "b": np.zeros((n + 1, 2))}
+        fields[field][7] = np.nan
+        with pytest.raises(RunAborted) as exc:
+            run(make_initial_state(grid, fields), grid, PhysParams(),
+                BoundaryData.zero(), TimeConfig(t_end=0.1))
+        assert exc.value.report["field"] == field
+        assert exc.value.report["index"] == 7
 
     def test_abort_when_cfl_undercuts_dt_min(self):
         grid = GridSpec(16)

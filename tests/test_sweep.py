@@ -7,9 +7,9 @@ from planemhd.core import (BoundaryData, FlowState, GridSpec, PhysParams,
 from planemhd.diagnostics import ErrorNorms, interior_sup_deviation
 from planemhd.solver import TimeConfig
 from planemhd.sweep import (BL_DELTA_CEILING, BLThickness, SweepPlan,
-                            SweepResult, _upper_hull, bl_thickness,
-                            fit_power_law, run_sweep,
-                            thickness_scaling_report)
+                            SweepResult, _rate_fit_with_exclusion,
+                            _upper_hull, bl_thickness, fit_power_law,
+                            run_sweep, thickness_scaling_report)
 
 
 class TestFitPowerLaw:
@@ -45,6 +45,32 @@ class TestFitPowerLaw:
         assert scaled.exponent == pytest.approx(base.exponent, abs=1e-9)
         assert scaled.prefactor == pytest.approx(c * base.prefactor,
                                                  rel=1e-9)
+
+
+class TestRateFitWithExclusion:
+    # nine mu values, largest first, on an exact mu^0.25 law with a small
+    # fixed scatter; with fewer equally log-spaced points a lone outlier at
+    # the largest mu pulls the fit too close to reach 3x the median residual
+    MU = 10.0 ** -np.arange(1, 10)
+    SCATTER = np.exp([0.01, -0.02, 0.015, -0.01, 0.02, -0.015, 0.01,
+                      -0.01, 0.005])
+
+    def _points(self, outlier):
+        y = 0.8 * self.MU ** 0.25 * self.SCATTER
+        y[0] *= outlier
+        return list(zip(self.MU, y))
+
+    def test_drops_largest_mu_outlier(self):
+        points = self._points(outlier=3.0)
+        assert _rate_fit_with_exclusion(points) == fit_power_law(points[1:])
+
+    def test_keeps_full_fit_without_outlier(self):
+        points = self._points(outlier=1.0)
+        assert _rate_fit_with_exclusion(points) == fit_power_law(points)
+
+    def test_never_drops_from_three_points(self):
+        points = self._points(outlier=3.0)[:3]
+        assert _rate_fit_with_exclusion(points) == fit_power_law(points)
 
 
 class TestUpperHull:
