@@ -24,17 +24,20 @@ from .sweep import SweepPlan, run_sweep, thickness_scaling_report
 from . import verify as verify_suites
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
-    return str(v)
+def _write_csv(path: Path, header: str, columns: dict) -> None:
+    """Write the header line, the column names and one line per row.
 
-
-def _write_csv(path: Path, header: str, columns, rows) -> None:
-    lines = [header, ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    columns maps each name to its values: a float array, written as
+    %.17g, or a sequence of strings. Each row is one %-format, and rows
+    stream to the file rather than being joined in memory.
+    """
+    fmt = ",".join("%.17g" if isinstance(c, np.ndarray) else "%s"
+                   for c in columns.values()) + "\n"
+    values = [c.tolist() if isinstance(c, np.ndarray) else c
+              for c in columns.values()]
+    with path.open("w") as f:
+        f.write(f"{header}\n{','.join(columns)}\n")
+        f.writelines(fmt % row for row in zip(*values))
 
 
 def _load_config(args) -> RunConfig:
@@ -52,25 +55,24 @@ def _load_config(args) -> RunConfig:
 
 def _emit_trajectory(outdir: Path, cfg: RunConfig, traj, grid) -> None:
     tag = f"# config_hash={config_hash(cfg)}"
-    rows = []
-    xn = grid.node_positions
-    for s in traj.snapshots:
-        rho_n = interpolate_to_nodes(s.rho)
-        th_n = interpolate_to_nodes(s.theta)
-        for j in range(grid.n_cells + 1):
-            rows.append((s.t, xn[j], rho_n[j], s.u[j], s.w[j, 0],
-                         s.w[j, 1], s.b[j, 0], s.b[j, 1], th_n[j]))
-    _write_csv(outdir / "snapshots.csv", tag,
-               ("t", "x", "rho", "u", "w1", "w2", "b1", "b2", "theta"),
-               rows)
+    n_snap, n_nodes = traj.u.shape
+    _write_csv(outdir / "snapshots.csv", tag, {
+        "t": np.repeat(traj.snapshot_times, n_nodes),
+        "x": np.tile(grid.node_positions, n_snap),
+        "rho": interpolate_to_nodes(traj.rho).ravel(),
+        "u": traj.u.ravel(),
+        "w1": traj.w[..., 0].ravel(), "w2": traj.w[..., 1].ravel(),
+        "b1": traj.b[..., 0].ravel(), "b2": traj.b[..., 1].ravel(),
+        "theta": interpolate_to_nodes(traj.theta).ravel()})
     cols = ["t", "mass", "total_energy", "total_entropy", "min_rho",
             "max_rho", "min_theta", "max_theta", "dissipation_integral",
             "w_grad_l2"] + [f"weighted_w_grad_{n}" for n in WEIGHT_ORDERS]
-    rows = [(d.t, d.mass, d.total_energy, d.total_entropy, d.min_rho,
-             d.max_rho, d.min_theta, d.max_theta, d.dissipation_integral,
-             d.w_grad_l2, *(d.weighted_w_grad[n] for n in WEIGHT_ORDERS))
-            for d in traj.diagnostics]
-    _write_csv(outdir / "diagnostics.csv", tag, cols, rows)
+    rows = np.array([
+        (d.t, d.mass, d.total_energy, d.total_entropy, d.min_rho,
+         d.max_rho, d.min_theta, d.max_theta, d.dissipation_integral,
+         d.w_grad_l2, *(d.weighted_w_grad[n] for n in WEIGHT_ORDERS))
+        for d in traj.diagnostics])
+    _write_csv(outdir / "diagnostics.csv", tag, dict(zip(cols, rows.T)))
 
 
 def _write_summary(outdir: Path, cfg: RunConfig, payload: dict) -> None:
@@ -123,22 +125,26 @@ def _fit_dict(fit):
             "max_log_residual": fit.max_log_residual}
 
 
+def _status(result) -> list:
+    """Per-mu status column: failed runs have saturated None."""
+    return [{None: "failed", True: "saturated", False: "ok"}[s]
+            for s in result.saturated]
+
+
 def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
     plan = _build_plan(cfg)
     result = run_sweep(plan)
     tag = f"# config_hash={config_hash(cfg)}"
-    rows = []
-    for i, mu in enumerate(result.mu_values):
-        if result.failures[i] is not None:
-            rows.append((mu, "nan", "nan", "nan", "nan", "failed"))
-            continue
-        e = result.errors[i]
-        rows.append((mu, e.combined, e.state_error, e.gradient_error,
-                     result.deltas[i],
-                     "saturated" if result.saturated[i] else "ok"))
-    _write_csv(outdir / "sweep.csv", tag,
-               ("mu", "combined_error", "state_error", "gradient_error",
-                "delta_star", "status"), rows)
+    # a failed run has no errors and no delta*: its row reads nan
+    errors = np.array([(None,) * 3 if e is None else
+                       (e.combined, e.state_error, e.gradient_error)
+                       for e in result.errors], dtype=float)
+    _write_csv(outdir / "sweep.csv", tag, {
+        "mu": np.array(result.mu_values),
+        "combined_error": errors[:, 0], "state_error": errors[:, 1],
+        "gradient_error": errors[:, 2],
+        "delta_star": np.array(result.deltas, dtype=float),
+        "status": _status(result)})
     fits = {"config_hash": config_hash(cfg),
             "rate": _fit_dict(result.rate_fit),
             "thickness": _fit_dict(result.thickness_fit),
@@ -154,13 +160,10 @@ def cmd_bl(cfg: RunConfig, outdir: Path) -> int:
     plan = _build_plan(cfg)
     result = run_sweep(plan)
     tag = f"# config_hash={config_hash(cfg)}"
-    rows = [(mu, d if d is not None else "nan",
-             {None: "failed", True: "saturated",
-              False: "ok"}[result.saturated[i]])
-            for i, (mu, d) in enumerate(zip(result.mu_values,
-                                            result.deltas))]
-    _write_csv(outdir / "thickness.csv", tag,
-               ("mu", "delta_star", "status"), rows)
+    _write_csv(outdir / "thickness.csv", tag, {
+        "mu": np.array(result.mu_values),
+        "delta_star": np.array(result.deltas, dtype=float),
+        "status": _status(result)})
     try:
         report = thickness_scaling_report(result)
     except ValueError as exc:
@@ -168,10 +171,9 @@ def cmd_bl(cfg: RunConfig, outdir: Path) -> int:
             {"config_hash": config_hash(cfg), "error": str(exc)},
             indent=2) + "\n")
         return 1
-    _write_csv(outdir / "tau_table.csv", tag,
-               ("mu", "delta", "tau", "w_grad_interior"),
-               [(r.mu, r.delta, r.tau, r.w_grad_interior)
-                for r in report.tau_table])
+    _write_csv(outdir / "tau_table.csv", tag, {
+        name: np.array([getattr(r, name) for r in report.tau_table])
+        for name in ("mu", "delta", "tau", "w_grad_interior")})
     (outdir / "bl_fits.json").write_text(json.dumps({
         "config_hash": config_hash(cfg),
         "alpha": _fit_dict(report.alpha_fit),

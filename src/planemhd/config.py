@@ -29,7 +29,6 @@ _SCHEMA = {
     "boundary": {"preset": str, "amplitude": float, "ramp_period": float},
     "time": {"t_end": float, "cfl": float, "dt_max": float, "dt_min": float,
              "snapshot_stride": int},
-    "output": {"directory": str, "formats": str},
     "sweep": {"mu_values": str, "bl_tol": float, "interior_deltas": str},
 }
 
@@ -41,8 +40,7 @@ _DEFAULTS = {
     "boundary": {"preset": "zero", "amplitude": 1.0, "ramp_period": 0.25},
     "time": {"cfl": 0.4, "dt_max": 1e-2, "dt_min": 1e-10,
              "snapshot_stride": 1},
-    "output": {"directory": "out", "formats": "csv,json"},
-    "sweep": {"mu_values": "1e-2,1e-3,1e-4,1e-5", "bl_tol": -1.0,
+    "sweep": {"mu_values": "1e-2,1e-3,1e-4,1e-5",
               "interior_deltas": "0.05,0.1,0.2"},
 }
 
@@ -95,8 +93,9 @@ class RunConfig:
                      str(self.raw["sweep"]["interior_deltas"]).split(","))
 
     def bl_tol(self) -> float:
-        tol = self.raw["sweep"]["bl_tol"]
-        if tol <= 0:       # default: relative to the boundary amplitude
+        """sweep.bl_tol if given, else 5% of the boundary amplitude."""
+        tol = self.raw["sweep"].get("bl_tol")
+        if tol is None:
             return 0.05 * max(self.raw["boundary"]["amplitude"], 1e-12)
         return tol
 
@@ -191,6 +190,10 @@ def _validate(values, seen):
     if any(b >= a for a, b in zip(mus, mus[1:])):
         raise ConfigError(f"{where('sweep', 'mu_values')}sweep.mu_values "
                           f"must be strictly decreasing")
+    tol = values["sweep"].get("bl_tol")
+    if tol is not None and not tol > 0:      # NaN fails too
+        raise ConfigError(f"{where('sweep', 'bl_tol')}sweep.bl_tol must be "
+                          f"positive")
 
 
 def render_config(cfg: RunConfig) -> str:

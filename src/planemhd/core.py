@@ -175,38 +175,51 @@ class FlowState:
         return self.rho.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Trajectory:
-    """Ordered snapshots with their times plus per-step diagnostics."""
+    """Snapshots stacked along a leading time axis, plus per-step
+    diagnostics.
 
-    snapshots: tuple
+    With S snapshots on an N-cell grid, snapshot_times is (S,), rho and
+    theta are (S, N), u is (S, N+1), w and b are (S, N+1, 2). The arrays
+    are read-only. The constructor stacks validated FlowStates and takes
+    each snapshot time from its state's t.
+    """
+
     snapshot_times: np.ndarray
+    rho: np.ndarray
+    u: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
+    theta: np.ndarray
     diagnostics: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "snapshots", tuple(self.snapshots))
-        object.__setattr__(self, "snapshot_times",
-                           _frozen(self.snapshot_times))
-        object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
-        t = self.snapshot_times
-        if len(t) != len(self.snapshots):
-            raise InvalidStateError("snapshot_times must match snapshots")
-        if len(t) and (t[0] != 0.0 or np.any(np.diff(t) <= 0)):
+    def __init__(self, states: Sequence[FlowState], diagnostics: Sequence):
+        if not states:
+            raise InvalidStateError("a trajectory needs at least one state")
+        t = _frozen([s.t for s in states])
+        if t[0] != 0.0 or np.any(np.diff(t) <= 0):
             raise InvalidStateError(
-                "snapshot_times must start at 0 and be strictly increasing")
-
-    @property
-    def final(self) -> FlowState:
-        return self.snapshots[-1]
+                "snapshot times must start at 0 and be strictly increasing")
+        object.__setattr__(self, "snapshot_times", t)
+        for name in ("rho", "u", "w", "b", "theta"):
+            stacked = np.stack([getattr(s, name) for s in states])
+            stacked.setflags(write=False)
+            object.__setattr__(self, name, stacked)
+        object.__setattr__(self, "diagnostics", tuple(diagnostics))
 
 
 def interpolate_to_nodes(cell_values: np.ndarray) -> np.ndarray:
-    """Average adjacent cells onto interior nodes, copy at the walls."""
+    """Average adjacent cells onto interior nodes, copy at the walls.
+
+    Works along the last axis: (N,) gives (N+1,), and a trajectory's
+    stacked (S, N) gives (S, N+1).
+    """
     c = np.asarray(cell_values, dtype=float)
-    out = np.empty(c.shape[0] + 1)
-    out[1:-1] = 0.5 * (c[:-1] + c[1:])
-    out[0] = c[0]
-    out[-1] = c[-1]
+    out = np.empty(c.shape[:-1] + (c.shape[-1] + 1,))
+    out[..., 1:-1] = 0.5 * (c[..., :-1] + c[..., 1:])
+    out[..., 0] = c[..., 0]
+    out[..., -1] = c[..., -1]
     return out
 
 

@@ -8,7 +8,7 @@ time; gradients are the same forward differences the solver uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -58,26 +58,26 @@ def weight_omega_delta(x, delta: float):
     return np.minimum(np.minimum(x, 1.0 - x), delta)
 
 
-def _cell_average(node_field: np.ndarray) -> np.ndarray:
-    return 0.5 * (node_field[:-1] + node_field[1:])
+def total_energy(fields: Union[FlowState, Trajectory], grid: GridSpec,
+                 params: PhysParams):
+    """Midpoint-rule integral of the total energy density.
 
-
-def total_energy(state: FlowState, grid: GridSpec,
-                 params: PhysParams) -> float:
-    """Midpoint-rule integral of the total energy density."""
-    u_c = _cell_average(state.u)
-    w_c = _cell_average(state.w)
-    b_c = _cell_average(state.b)
-    e = total_energy_density(state.rho, u_c, w_c, b_c, state.theta,
+    A float for one state, an (S,) array for a trajectory's snapshots.
+    """
+    u, w, b = fields.u, fields.w, fields.b
+    u_c = 0.5 * (u[..., :-1] + u[..., 1:])
+    w_c = 0.5 * (w[..., :-1, :] + w[..., 1:, :])
+    b_c = 0.5 * (b[..., :-1, :] + b[..., 1:, :])
+    e = total_energy_density(fields.rho, u_c, w_c, b_c, fields.theta,
                              params.c_v)
-    return float(e.sum() * grid.dx)
+    return e.sum(axis=-1) * grid.dx
 
 
 def record(state: FlowState, grid: GridSpec,
            params: PhysParams) -> DiagnosticsRecord:
     dx = grid.dx
     mass = float(state.rho.sum() * dx)
-    energy = total_energy(state, grid, params)
+    energy = float(total_energy(state, grid, params))
     entropy = float((state.rho * entropy_density(
         state.rho, state.theta, params.gamma)).sum() * dx)
     u_x = np.diff(state.u) / dx
@@ -104,22 +104,27 @@ def energy_balance_residual(traj: Trajectory, grid: GridSpec,
     Wall gradients are one-sided, the time integral is trapezoidal.
     Vanishes at first order in dt on smooth runs.
     """
-    if len(traj.snapshots) < 2:
+    t = traj.snapshot_times
+    if len(t) < 2:
         raise ValueError("energy balance needs at least two snapshots")
     dx = grid.dx
-    energies = np.array([total_energy(s, grid, params)
-                         for s in traj.snapshots])
-    work_rate = np.empty(len(traj.snapshots))
-    for i, s in enumerate(traj.snapshots):
-        wx_right = (s.w[-1] - s.w[-2]) / dx
-        wx_left = (s.w[1] - s.w[0]) / dx
-        work_rate[i] = params.mu * (np.dot(s.w[-1], wx_right)
-                                    - np.dot(s.w[0], wx_left))
-    t = traj.snapshot_times
+    energies = total_energy(traj, grid, params)
+    w = traj.w
+    wx_right = (w[:, -1] - w[:, -2]) / dx
+    wx_left = (w[:, 1] - w[:, 0]) / dx
+    work_rate = params.mu * (_dot_rows(w[:, -1], wx_right)
+                             - _dot_rows(w[:, 0], wx_left))
     work = np.concatenate(
         [[0.0], np.cumsum(0.5 * (work_rate[1:] + work_rate[:-1])
                           * np.diff(t))])
     return energies - energies[0] - work
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (S, 2) arrays. A (1, 2) @ (2, 1)
+    matmul per row rounds as np.dot does, where a multiply-and-sum
+    differs in the last bit in about a quarter of cases."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def entropy_monotonicity(traj: Trajectory) -> float:
@@ -131,10 +136,10 @@ def entropy_monotonicity(traj: Trajectory) -> float:
 
 
 def _check_matched(traj: Trajectory, reference: Trajectory):
-    if traj.snapshots[0].n_cells != reference.snapshots[0].n_cells:
+    if traj.rho.shape[1:] != reference.rho.shape[1:]:
         raise ValueError("trajectories live on different grids")
     ta, tb = traj.snapshot_times, reference.snapshot_times
-    if len(ta) != len(tb) or not np.allclose(ta, tb, rtol=0, atol=1e-12):
+    if ta.shape != tb.shape or not np.allclose(ta, tb, rtol=0, atol=1e-12):
         raise ValueError("trajectories have mismatched snapshot times")
 
 
@@ -150,24 +155,23 @@ def error_norms(traj: Trajectory, reference: Trajectory,
     dx = grid.dx
     node_w = np.full(grid.n_cells + 1, dx)
     node_w[0] = node_w[-1] = dx / 2
-    state_sq = []
-    grad_sq = []
-    for s, r in zip(traj.snapshots, reference.snapshots):
-        sq = ((s.rho - r.rho) ** 2).sum() * dx
-        sq += ((s.theta - r.theta) ** 2).sum() * dx
-        sq += ((s.u - r.u) ** 2 * node_w).sum()
-        sq += (((s.w - r.w) ** 2).sum(axis=-1) * node_w).sum()
-        sq += (((s.b - r.b) ** 2).sum(axis=-1) * node_w).sum()
-        state_sq.append(sq)
-        du_x = np.diff(s.u - r.u) / dx
-        db_x = np.diff(s.b - r.b, axis=0) / dx
-        dth_x = np.diff(s.theta - r.theta) / dx
-        g = (du_x ** 2).sum() * dx + (db_x ** 2).sum() * dx \
-            + (dth_x ** 2).sum() * dx
-        grad_sq.append(g)
-    state_error = float(np.sqrt(max(state_sq)))
+    n_snap = len(traj.snapshot_times)
+
+    def diff(name):
+        # one field difference at a time: temporaries hold a single field
+        return getattr(traj, name) - getattr(reference, name)
+
+    state_sq = ((diff("rho") ** 2).sum(axis=-1) * dx
+                + (diff("theta") ** 2).sum(axis=-1) * dx
+                + (diff("u") ** 2 * node_w).sum(axis=-1)
+                + ((diff("w") ** 2).sum(axis=-1) * node_w).sum(axis=-1)
+                + ((diff("b") ** 2).sum(axis=-1) * node_w).sum(axis=-1))
+    grad_sq = sum(((np.diff(diff(name), axis=1) / dx) ** 2)
+                  .reshape(n_snap, -1).sum(axis=-1) * dx
+                  for name in ("u", "b", "theta"))
+    state_error = float(np.sqrt(state_sq.max()))
     gradient_error = float(np.sqrt(
-        np.trapezoid(np.array(grad_sq), traj.snapshot_times)))
+        np.trapezoid(grad_sq, traj.snapshot_times)))
     return ErrorNorms(state_error=state_error,
                       gradient_error=gradient_error,
                       combined=state_error + gradient_error)
@@ -178,19 +182,15 @@ def deviation_profile(traj: Trajectory, reference: Trajectory
     """Pointwise max over time and fields of |traj - reference|.
 
     Returns the cell-center profile (rho, theta) and the node profile
-    (u and both components of w and b), one pass over the snapshots.
+    (u and both components of w and b).
     """
     _check_matched(traj, reference)
-    s0 = reference.snapshots[0]
-    cell = np.zeros_like(s0.rho)
-    node = np.zeros_like(s0.u)
-    for s, r in zip(traj.snapshots, reference.snapshots):
-        np.maximum(cell, np.abs(s.rho - r.rho), out=cell)
-        np.maximum(cell, np.abs(s.theta - r.theta), out=cell)
-        np.maximum(node, np.abs(s.u - r.u), out=node)
-        np.maximum(node, np.abs(s.w - r.w).max(axis=-1), out=node)
-        np.maximum(node, np.abs(s.b - r.b).max(axis=-1), out=node)
-    return cell, node
+    cell = np.abs(traj.rho - reference.rho)
+    np.maximum(cell, np.abs(traj.theta - reference.theta), out=cell)
+    node = np.abs(traj.u - reference.u)
+    np.maximum(node, np.abs(traj.w - reference.w).max(axis=-1), out=node)
+    np.maximum(node, np.abs(traj.b - reference.b).max(axis=-1), out=node)
+    return cell.max(axis=0), node.max(axis=0)
 
 
 def interior_sup(profile: Tuple[np.ndarray, np.ndarray], delta: float,
@@ -223,9 +223,8 @@ def interior_w_grad(traj: Trajectory, delta: float, grid: GridSpec) -> float:
         raise ValueError("delta must lie in (0, 1/2)")
     xc = grid.cell_centers
     mask = (xc > delta) & (xc < 1.0 - delta)
-    best = 0.0
-    for s in traj.snapshots:
-        w_x = np.diff(s.w, axis=0) / grid.dx
-        val = float(((w_x * w_x).sum(axis=-1))[mask].sum() * grid.dx)
-        best = max(best, val)
-    return best
+    w_x = np.diff(traj.w, axis=1) / grid.dx
+    # compress keeps each snapshot's row contiguous, so the row sums
+    # round as the sum over one snapshot does (w[:, mask] would not)
+    inside = np.compress(mask, (w_x * w_x).sum(axis=-1), axis=1)
+    return float(inside.sum(axis=-1).max() * grid.dx)

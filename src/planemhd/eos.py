@@ -10,18 +10,6 @@ import numpy as np
 from .core import InvalidStateError, KappaModel, PhysParams
 
 
-def pressure(rho, theta, gamma: float):
-    """Perfect-gas pressure gamma * rho * theta."""
-    if np.any(np.asarray(rho) <= 0):
-        raise InvalidStateError("pressure requires positive density")
-    return gamma * np.asarray(rho) * np.asarray(theta)
-
-
-def internal_energy(theta, c_v: float):
-    """Internal energy per unit mass c_v * theta."""
-    return c_v * np.asarray(theta)
-
-
 def kappa(rho, theta, model: KappaModel):
     """Heat conductivity kappa1*(1 + theta**q) + kappa2*rho.
 

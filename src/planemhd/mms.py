@@ -140,10 +140,8 @@ def solution_error(mms: ManufacturedSolution, grid: GridSpec,
     """Combined discrete error of a forced run against the exact fields."""
     traj = run(mms.initial_state(grid), grid, params, BoundaryData.zero(),
                cfg, mms.forcing)
-    exact_snaps = [mms.sampled_state(grid, t) for t in traj.snapshot_times]
-    exact = Trajectory(snapshots=exact_snaps,
-                       snapshot_times=traj.snapshot_times,
-                       diagnostics=[None] * len(exact_snaps))
+    exact = Trajectory([mms.sampled_state(grid, t)
+                        for t in traj.snapshot_times], ())
     return error_norms(traj, exact, grid).combined
 
 

@@ -229,6 +229,13 @@ def advance_density(state: FlowState, grid: GridSpec, dt: float,
     return rho_new
 
 
+def _diffusion_bands(mass: np.ndarray, a: float):
+    """Bands of the implicit diffusion matrix at the interior nodes:
+    mass + 2a on the diagonal and -a off it."""
+    lower = np.full(len(mass), -a)
+    return lower, mass + 2 * a, lower.copy()
+
+
 def velocity_system(grid: GridSpec, params: PhysParams, dt: float,
                     rho_new: np.ndarray, u: np.ndarray, theta: np.ndarray,
                     b: np.ndarray, f_u: Optional[np.ndarray] = None):
@@ -243,11 +250,8 @@ def velocity_system(grid: GridSpec, params: PhysParams, dt: float,
     rhs[1:-1] -= dt * grad
     if f_u is not None:
         rhs = rhs + dt * f_u
-    a = params.lam * dt / dx ** 2
-    m = grid.n_cells - 1
-    lower = np.full(m, -a)
-    upper = np.full(m, -a)
-    diag = rho_n[1:-1] + 2 * a
+    lower, diag, upper = _diffusion_bands(rho_n[1:-1],
+                                          params.lam * dt / dx ** 2)
     return lower, diag, upper, rhs[1:-1]
 
 
@@ -292,10 +296,7 @@ def transverse_system(grid: GridSpec, params: PhysParams, dt: float,
     if f_w is not None:
         rhs = rhs + dt * f_w
     a = params.mu * dt / dx ** 2
-    m = grid.n_cells - 1
-    lower = np.full(m, -a)
-    upper = np.full(m, -a)
-    diag = rho_n[1:-1] + 2 * a
+    lower, diag, upper = _diffusion_bands(rho_n[1:-1], a)
     rhs_i = rhs[1:-1].copy()
     rhs_i[0] += a * wl
     rhs_i[-1] += a * wr
@@ -335,26 +336,20 @@ def _advance_transverse_limit(state: FlowState, grid: GridSpec, dt: float,
     is imposed on w; the wall nodes evolve on half control volumes.
     """
     dx = grid.dx
-    rho_n_old = interpolate_to_nodes(state.rho)
-    rho_n_new = interpolate_to_nodes(rho_new)
-    u_c = 0.5 * (u_new[:-1] + u_new[1:])
-    f_w = None
+    rho_n_old = interpolate_to_nodes(state.rho)[:, None]
+    rho_n_new = interpolate_to_nodes(rho_new)[:, None]
+    u_c = 0.5 * (u_new[:-1] + u_new[1:])[:, None]
+    m = rho_n_old * state.w
+    m_up = np.where(u_c > 0, m[:-1], m[1:])
+    flux = u_c * m_up                           # at cell centers
+    b_x = _central_grad(state.b, dx)
+    m_new = np.empty_like(m)
+    m_new[1:-1] = m[1:-1] - (dt / dx) * np.diff(flux, axis=0) + dt * b_x[1:-1]
+    m_new[0] = m[0] - (dt / (dx / 2)) * flux[0] + dt * b_x[0]
+    m_new[-1] = m[-1] + (dt / (dx / 2)) * flux[-1] + dt * b_x[-1]
     if forcing is not None and forcing.transverse is not None:
-        f_w = forcing.transverse(grid.node_positions, state.t + dt)
-    w_new = np.empty_like(state.w)
-    for k in (0, 1):
-        m = rho_n_old * state.w[:, k]
-        m_up = np.where(u_c > 0, m[:-1], m[1:])
-        flux = u_c * m_up                       # at cell centers
-        b_x = _central_grad(state.b[:, k], dx)
-        m_new = np.empty_like(m)
-        m_new[1:-1] = m[1:-1] - (dt / dx) * np.diff(flux) + dt * b_x[1:-1]
-        m_new[0] = m[0] - (dt / (dx / 2)) * flux[0] + dt * b_x[0]
-        m_new[-1] = m[-1] + (dt / (dx / 2)) * flux[-1] + dt * b_x[-1]
-        if f_w is not None:
-            m_new += dt * f_w[:, k]
-        w_new[:, k] = m_new / rho_n_new
-    return w_new
+        m_new += dt * forcing.transverse(grid.node_positions, state.t + dt)
+    return m_new / rho_n_new
 
 
 def induction_system(grid: GridSpec, params: PhysParams, dt: float,
@@ -370,11 +365,8 @@ def induction_system(grid: GridSpec, params: PhysParams, dt: float,
     rhs = b - dt * _central_grad(flux, dx)
     if f_b is not None:
         rhs = rhs + dt * f_b
-    a = params.nu * dt / dx ** 2
-    m = grid.n_cells - 1
-    lower = np.full(m, -a)
-    upper = np.full(m, -a)
-    diag = np.full(m, 1.0 + 2 * a)
+    lower, diag, upper = _diffusion_bands(np.ones(grid.n_cells - 1),
+                                          params.nu * dt / dx ** 2)
     return lower, diag, upper, rhs[1:-1]
 
 
@@ -476,7 +468,6 @@ def run(initial: FlowState, grid: GridSpec, params: PhysParams,
     t_end = cfg.t_end
     state = initial
     snapshots = [state]
-    times = [0.0]
     diags = [_diag.record(state, grid, params)]
     k = 0
     eps = 1e-12 * max(t_end, 1.0)
@@ -503,9 +494,7 @@ def run(initial: FlowState, grid: GridSpec, params: PhysParams,
         diags.append(_diag.record(state, grid, params))
         if k % cfg.snapshot_stride == 0 or state.t >= t_end - eps:
             snapshots.append(state)
-            times.append(state.t)
-    return Trajectory(snapshots=snapshots, snapshot_times=np.array(times),
-                      diagnostics=diags)
+    return Trajectory(snapshots, diags)
 
 
 def run_limit(initial: FlowState, grid: GridSpec, params: PhysParams,

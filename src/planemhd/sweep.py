@@ -121,7 +121,7 @@ def _summarize(traj: Trajectory) -> RunSummary:
         min_theta=min(r.min_theta for r in d),
         max_rho=max(r.max_rho for r in d),
         min_rho=min(r.min_rho for r in d),
-        max_abs_w=max(float(np.abs(s.w).max()) for s in traj.snapshots),
+        max_abs_w=float(np.abs(traj.w).max()),
         max_w_grad_l2=max(r.w_grad_l2 for r in d),
         max_weighted_w_grad=max(r.weighted_w_grad[1] for r in d))
 

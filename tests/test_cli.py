@@ -4,10 +4,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import planemhd
+from planemhd import cli
 from planemhd.cli import main
+from planemhd.config import parse_config
+from planemhd.core import interpolate_to_nodes, make_initial_state
+from planemhd.diagnostics import WEIGHT_ORDERS
+from planemhd.solver import run
 
 RUN_CFG = """
 [grid]
@@ -44,6 +50,14 @@ def _write(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def _read_csv(path):
+    """Column name -> values parsed with float()."""
+    lines = path.read_text().splitlines()
+    names = lines[1].split(",")
+    rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+    return dict(zip(names, np.array(rows).T))
 
 
 class TestArguments:
@@ -100,6 +114,38 @@ class TestRunCommand:
         # the limit run starts transverse-at-rest and stays there
         assert all(float(r.split(",")[iw]) == 0.0 for r in lines[2:])
 
+    def test_csv_values_round_trip(self, tmp_path):
+        """Every value written parses back to the exact float of the
+        trajectory arrays and of the diagnostics records."""
+        out = tmp_path / "out"
+        assert main(["run", "--config", _write(tmp_path, RUN_CFG),
+                     "--out", str(out)]) == 0
+        cfg = parse_config(RUN_CFG)
+        grid, bdry = cfg.grid_spec(), cfg.boundary_data()
+        traj = run(make_initial_state(grid, cfg["initial"]["preset"], bdry),
+                   grid, cfg.phys_params(), bdry, cfg.time_config())
+        snap = _read_csv(out / "snapshots.csv")
+        shape = traj.u.shape
+        expected = {
+            "t": np.broadcast_to(traj.snapshot_times[:, None], shape),
+            "x": np.broadcast_to(grid.node_positions, shape),
+            "rho": interpolate_to_nodes(traj.rho), "u": traj.u,
+            "w1": traj.w[..., 0], "w2": traj.w[..., 1],
+            "b1": traj.b[..., 0], "b2": traj.b[..., 1],
+            "theta": interpolate_to_nodes(traj.theta)}
+        assert list(snap) == list(expected)
+        for name, want in expected.items():
+            assert np.array_equal(snap[name].reshape(shape), want), name
+        diag = _read_csv(out / "diagnostics.csv")
+        assert len(diag) == 10 + len(WEIGHT_ORDERS)
+        for name, got in diag.items():
+            if name.startswith("weighted_w_grad_"):
+                n = int(name.rsplit("_", 1)[1])
+                want = [d.weighted_w_grad[n] for d in traj.diagnostics]
+            else:
+                want = [getattr(d, name) for d in traj.diagnostics]
+            assert np.array_equal(got, want), name
+
 
 class TestSweepCommand:
     def test_outputs(self, tmp_path):
@@ -111,6 +157,29 @@ class TestSweepCommand:
         assert len(rows) == 5
         fits = json.loads((out / "fits.json").read_text())
         assert "rate" in fits and "scaled_w_grad" in fits
+
+    def test_failed_run_rows(self, tmp_path, monkeypatch):
+        """A run that aborted writes nan values and the status failed."""
+        real = cli.run_sweep
+
+        def one_failure(plan):
+            result = real(plan)
+            for column in (result.errors, result.deltas, result.saturated):
+                column[1] = None
+            result.failures[1] = {"t": 0.0, "reason": "test", "field": "u",
+                                  "index": 0}
+            return result
+
+        monkeypatch.setattr(cli, "run_sweep", one_failure)
+        cfg = _write(tmp_path, SWEEP_CFG)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert rows[3] == "0.001,nan,nan,nan,nan,failed"
+        assert rows[2].endswith(",ok")
+        assert main(["bl", "--config", cfg, "--out", str(out)]) == 1
+        rows = (out / "thickness.csv").read_text().splitlines()
+        assert rows[3] == "0.001,nan,failed"
 
     def test_bl_outputs(self, tmp_path):
         cfg = _write(tmp_path, SWEEP_CFG)

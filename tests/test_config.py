@@ -68,6 +68,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="strictly decreasing"):
             parse_config(MINIMAL + "\n[sweep]\nmu_values = 1e-3,1e-2\n")
 
+    @pytest.mark.parametrize("value", ["0", "-0.05"])
+    def test_bl_tol_must_be_positive(self, value):
+        with pytest.raises(ConfigError,
+                           match="line 9: sweep.bl_tol must be positive"):
+            parse_config(MINIMAL + f"\n[sweep]\nbl_tol = {value}\n")
+
 
 class TestFactories:
     def test_phys_params(self):

@@ -125,6 +125,14 @@ class TestInterpolateToNodes:
         rhs = a * interpolate_to_nodes(f) + b * interpolate_to_nodes(g)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
+    def test_stacked_rows(self):
+        """A stacked (S, N) input interpolates each row as a 1-D call."""
+        rows = np.random.default_rng(4).normal(size=(3, 7))
+        out = interpolate_to_nodes(rows)
+        assert out.shape == (3, 8)
+        for row, got in zip(rows, out):
+            np.testing.assert_array_equal(got, interpolate_to_nodes(row))
+
 
 class TestMakeInitialState:
     def test_uniform(self):
@@ -170,13 +178,30 @@ class TestTrajectory:
     def test_times_must_increase(self):
         s = FlowState(t=0.0, **_arrays(8))
         with pytest.raises(InvalidStateError):
-            Trajectory(snapshots=(s, s), snapshot_times=np.array([0.0, 0.0]),
-                       diagnostics=(None, None))
+            Trajectory((s, s), (None, None))
 
-    def test_final(self):
-        s0 = FlowState(t=0.0, **_arrays(8))
-        s1 = FlowState(t=0.5, **_arrays(8))
-        traj = Trajectory(snapshots=(s0, s1),
-                          snapshot_times=np.array([0.0, 0.5]),
-                          diagnostics=(None, None))
-        assert traj.final is s1
+    def test_needs_a_state(self):
+        with pytest.raises(InvalidStateError):
+            Trajectory((), ())
+
+    def test_stacks_states(self):
+        rng = np.random.default_rng(2)
+        states = []
+        for t in (0.0, 0.25, 0.5):
+            fields = _arrays(8)
+            fields["rho"] = 0.5 + rng.random(8)
+            fields["w"] = rng.normal(size=(9, 2))
+            states.append(FlowState(t=t, **fields))
+        traj = Trajectory(states, (None,) * 3)
+        np.testing.assert_array_equal(traj.snapshot_times, [0.0, 0.25, 0.5])
+        assert traj.rho.shape == traj.theta.shape == (3, 8)
+        assert traj.u.shape == (3, 9)
+        assert traj.w.shape == traj.b.shape == (3, 9, 2)
+        for i, s in enumerate(states):
+            for name in ("rho", "u", "w", "b", "theta"):
+                np.testing.assert_array_equal(getattr(traj, name)[i],
+                                              getattr(s, name))
+        with pytest.raises(ValueError):
+            traj.w[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            traj.snapshot_times[0] = 1.0

@@ -41,8 +41,24 @@ def _state_with_w(grid, w_profile):
 
 
 def _single_snapshot(state):
-    return Trajectory(snapshots=(state,), snapshot_times=np.array([0.0]),
-                      diagnostics=(None,))
+    return Trajectory((state,), (None,))
+
+
+def _random_states(grid, times, seed):
+    """Random admissible states, one per time, with nonzero w at the
+    walls so the energy-balance wall terms do not vanish."""
+    n = grid.n_cells
+    rng = np.random.default_rng(seed)
+    states = []
+    for t in times:
+        u = rng.normal(size=n + 1)
+        b = rng.normal(size=(n + 1, 2))
+        u[0] = u[-1] = 0.0
+        b[0] = b[-1] = 0.0
+        states.append(FlowState(t=t, rho=0.5 + rng.random(n), u=u,
+                                w=rng.normal(size=(n + 1, 2)), b=b,
+                                theta=0.5 + rng.random(n)))
+    return states
 
 
 class TestRecord:
@@ -82,6 +98,15 @@ class TestTotalEnergy:
         assert total_energy(state, grid, PhysParams(c_v=2.0)) \
             == pytest.approx(2.0)
 
+    def test_trajectory_matches_states(self):
+        grid = GridSpec(24)
+        params = PhysParams(c_v=1.5)
+        states = _random_states(grid, (0.0, 0.1, 0.3), seed=5)
+        got = total_energy(Trajectory(states, ()), grid, params)
+        assert got.shape == (3,)
+        for e, s in zip(got, states):
+            assert e == total_energy(s, grid, params)
+
 
 class TestEnergyBalance:
     def test_zero_on_frozen_trajectory(self):
@@ -89,9 +114,7 @@ class TestEnergyBalance:
         s0 = make_initial_state(grid, "uniform")
         s1 = FlowState(t=0.5, rho=s0.rho, u=s0.u, w=s0.w, b=s0.b,
                        theta=s0.theta)
-        traj = Trajectory(snapshots=(s0, s1),
-                          snapshot_times=np.array([0.0, 0.5]),
-                          diagnostics=(None, None))
+        traj = Trajectory((s0, s1), (None, None))
         res = energy_balance_residual(traj, grid, PhysParams())
         np.testing.assert_allclose(res, 0.0, atol=1e-15)
 
@@ -105,6 +128,24 @@ class TestEnergyBalance:
                    BoundaryData.zero(), cfg)
         res = np.abs(energy_balance_residual(traj, grid, params)).max()
         assert res < 5e-4
+
+    def test_matches_per_snapshot_loop(self):
+        """Same values as a loop over the states, with np.dot at the
+        walls and a trapezoid in time."""
+        grid = GridSpec(20)
+        params = PhysParams(mu=0.7)
+        times = np.array([0.0, 0.05, 0.2, 0.3])
+        states = _random_states(grid, times, seed=11)
+        dx = grid.dx
+        energies = np.array([total_energy(s, grid, params) for s in states])
+        rate = np.array([params.mu * (
+            np.dot(s.w[-1], (s.w[-1] - s.w[-2]) / dx)
+            - np.dot(s.w[0], (s.w[1] - s.w[0]) / dx)) for s in states])
+        work = np.concatenate(
+            [[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(times))])
+        np.testing.assert_array_equal(
+            energy_balance_residual(Trajectory(states, ()), grid, params),
+            energies - energies[0] - work)
 
 
 class TestEntropyMonotonicity:
@@ -149,11 +190,42 @@ class TestErrorNorms:
         s = make_initial_state(grid, "uniform")
         s1 = FlowState(t=0.5, rho=s.rho, u=s.u, w=s.w, b=s.b, theta=s.theta)
         ta = _single_snapshot(s)
-        tb = Trajectory(snapshots=(s, s1),
-                        snapshot_times=np.array([0.0, 0.5]),
-                        diagnostics=(None, None))
+        tb = Trajectory((s, s1), (None, None))
         with pytest.raises(ValueError, match="mismatched"):
             error_norms(ta, tb, grid)
+
+    def test_different_grids_rejected(self):
+        ta = _single_snapshot(make_initial_state(GridSpec(16), "uniform"))
+        tb = _single_snapshot(make_initial_state(GridSpec(32), "uniform"))
+        with pytest.raises(ValueError, match="different grids"):
+            error_norms(ta, tb, GridSpec(16))
+
+    def test_matches_per_snapshot_loop(self):
+        """Same values as a loop over the states: the max in time of the
+        summed squared L2 field differences, and the trapezoid in time of
+        the squared gradient differences."""
+        grid = GridSpec(24)
+        times = np.array([0.0, 0.1, 0.15, 0.4])
+        sa = _random_states(grid, times, seed=3)
+        sb = _random_states(grid, times, seed=4)
+        dx = grid.dx
+        node_w = np.full(grid.n_cells + 1, dx)
+        node_w[0] = node_w[-1] = dx / 2
+        state_sq, grad_sq = [], []
+        for s, r in zip(sa, sb):
+            state_sq.append(
+                ((s.rho - r.rho) ** 2).sum() * dx
+                + ((s.theta - r.theta) ** 2).sum() * dx
+                + ((s.u - r.u) ** 2 * node_w).sum()
+                + (((s.w - r.w) ** 2).sum(axis=-1) * node_w).sum()
+                + (((s.b - r.b) ** 2).sum(axis=-1) * node_w).sum())
+            grad_sq.append(
+                ((np.diff(s.u - r.u) / dx) ** 2).sum() * dx
+                + ((np.diff(s.b - r.b, axis=0) / dx) ** 2).sum() * dx
+                + ((np.diff(s.theta - r.theta) / dx) ** 2).sum() * dx)
+        err = error_norms(Trajectory(sa, ()), Trajectory(sb, ()), grid)
+        assert err.state_error == np.sqrt(max(state_sq))
+        assert err.gradient_error == np.sqrt(np.trapezoid(grad_sq, times))
 
 
 class TestInteriorMeasures:
@@ -183,11 +255,11 @@ class TestInteriorMeasures:
                              w=rng.normal(size=(n + 1, 2)), b=b,
                              theta=0.5 + rng.random(n))
 
-        times = np.array([0.0, 0.1, 0.2])
-        traj = Trajectory(snapshots=[state(t) for t in times],
-                          snapshot_times=times, diagnostics=(None,) * 3)
-        ref = Trajectory(snapshots=[state(t) for t in times],
-                         snapshot_times=times, diagnostics=(None,) * 3)
+        times = (0.0, 0.1, 0.2)
+        states = [state(t) for t in times]
+        refs = [state(t) for t in times]
+        traj = Trajectory(states, (None,) * 3)
+        ref = Trajectory(refs, (None,) * 3)
         xc, xn = grid.cell_centers, grid.node_positions
         mc = (xc > delta) & (xc < 1 - delta)
         mn = (xn > delta) & (xn < 1 - delta)
@@ -196,7 +268,7 @@ class TestInteriorMeasures:
                 np.abs(s.theta - r.theta)[mc].max(),
                 np.abs(s.u - r.u)[mn].max(), np.abs(s.w - r.w)[mn].max(),
                 np.abs(s.b - r.b)[mn].max())
-            for s, r in zip(traj.snapshots, ref.snapshots))
+            for s, r in zip(states, refs))
         assert interior_sup_deviation(traj, ref, delta, grid) == expected
 
     def test_sup_deviation_delta_validation(self):
@@ -212,3 +284,16 @@ class TestInteriorMeasures:
         full = interior_w_grad(traj, 0.01, grid)
         inner = interior_w_grad(traj, 0.2, grid)
         assert inner < 1e-3 * full
+
+    @pytest.mark.parametrize("delta", [0.01, 0.1, 0.3])
+    def test_interior_w_grad_matches_per_snapshot_loop(self, delta):
+        grid = GridSpec(40)
+        states = _random_states(grid, (0.0, 0.1, 0.2, 0.35), seed=9)
+        xc = grid.cell_centers
+        mask = (xc > delta) & (xc < 1.0 - delta)
+        expected = max(
+            float(((np.diff(s.w, axis=0) / grid.dx) ** 2).sum(axis=-1)[mask]
+                  .sum() * grid.dx)
+            for s in states)
+        assert interior_w_grad(Trajectory(states, ()), delta, grid) \
+            == expected

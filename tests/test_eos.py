@@ -3,20 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from planemhd.core import InvalidStateError, KappaModel, PhysParams
-from planemhd.eos import (dissipation_q, entropy_density, internal_energy,
-                          kappa, pressure, total_energy_density)
+from planemhd.eos import (dissipation_q, entropy_density, kappa,
+                          total_energy_density)
 
 pos = st.floats(min_value=1e-3, max_value=1e3)
-
-
-def test_pressure_values():
-    assert pressure(2.0, 3.0, 1.4) == pytest.approx(8.4)
-    with pytest.raises(InvalidStateError):
-        pressure(-1.0, 1.0, 1.4)
-
-
-def test_internal_energy():
-    assert internal_energy(2.0, 1.5) == pytest.approx(3.0)
 
 
 @given(pos, pos)

@@ -100,8 +100,7 @@ def _layer_trajectory(grid, ell, amplitude=1.0):
     w[:, 0] = amplitude * np.exp(-xn / ell)
     state = make_initial_state(grid, {"rho": np.ones(n),
                                       "theta": np.ones(n), "w": w})
-    return Trajectory(snapshots=(state,), snapshot_times=np.array([0.0]),
-                      diagnostics=(None,))
+    return Trajectory((state,), (None,))
 
 
 class TestBlThickness:
@@ -156,15 +155,12 @@ class TestBlThickness:
             states.append(FlowState(
                 t=0.1 * i, rho=1.0 + amp_r * np.exp(-(1.0 - xc) / ell_r),
                 u=np.zeros(n + 1), w=w, b=b, theta=np.ones(n)))
-        times = 0.1 * np.arange(len(states))
-        traj = Trajectory(snapshots=states, snapshot_times=times,
-                          diagnostics=(None,) * len(states))
+        traj = Trajectory(states, (None,) * len(states))
         rest = make_initial_state(grid, "transverse-rest")
         ref = Trajectory(
-            snapshots=[FlowState(t=t, rho=rest.rho, u=rest.u, w=rest.w,
-                                 b=rest.b, theta=rest.theta)
-                       for t in times],
-            snapshot_times=times, diagnostics=(None,) * len(states))
+            [FlowState(t=s.t, rho=rest.rho, u=rest.u, w=rest.w, b=rest.b,
+                       theta=rest.theta) for s in states],
+            (None,) * len(states))
         expected = BLThickness(delta=BL_DELTA_CEILING, saturated=True)
         k = 1
         while k * grid.dx <= BL_DELTA_CEILING + 1e-12:
@@ -197,9 +193,7 @@ def _synthetic_result(interior):
     deltas = [float(np.sqrt(m)) for m in mu]
     errors = [ErrorNorms(m ** 0.25, 0.0, m ** 0.25) for m in mu]
     grid = GridSpec(16)
-    ref = Trajectory(
-        snapshots=(make_initial_state(grid, "uniform"),),
-        snapshot_times=np.array([0.0]), diagnostics=(None,))
+    ref = Trajectory((make_initial_state(grid, "uniform"),), (None,))
     return SweepResult(mu_values=mu, errors=errors, deltas=deltas,
                        saturated=[False] * 4, scaled_w_grad=[1.0] * 4,
                        summaries=[None] * 4, interior_w_grads=interior,
@@ -251,5 +245,4 @@ class TestRunSweep:
         assert all(e is not None for e in result.errors)
         assert len(result.interior_w_grads[0.1]) == 3
         # the mu = 0 reference keeps the transverse fields at rest
-        for s in result.reference.snapshots:
-            assert np.all(s.w == 0.0)
+        assert np.all(result.reference.w == 0.0)
