@@ -6,7 +6,7 @@ from .core import (BoundaryData, FlowState, GridSpec, InvalidStateError,
                    make_initial_state)
 from .solver import (ForcingSpec, RunAborted, StepFailure, TimeConfig, run,
                      run_limit, step, tridiag_solve)
-from .diagnostics import (DiagnosticsRecord, ErrorNorms,
+from .diagnostics import (DIAGNOSTICS_DTYPE, ErrorNorms,
                           energy_balance_residual, entropy_monotonicity,
                           error_norms, interior_sup_deviation, record,
                           weight_omega, weight_omega_delta)

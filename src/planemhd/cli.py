@@ -18,7 +18,6 @@ import numpy as np
 from .config import ConfigError, RunConfig, config_hash, parse_config, \
     render_config
 from .core import interpolate_to_nodes, make_initial_state
-from .diagnostics import WEIGHT_ORDERS
 from .solver import RunAborted, run, run_limit
 from .sweep import SweepPlan, run_sweep, thickness_scaling_report
 from . import verify as verify_suites
@@ -41,16 +40,11 @@ def _write_csv(path: Path, header: str, columns: dict) -> None:
 
 
 def _load_config(args) -> RunConfig:
-    text = Path(args.config).read_text()
-    cfg = parse_config(text)
-    raw = {s: dict(d) for s, d in cfg.raw.items()}
-    if args.mu is not None:
-        raw["physics"]["mu"] = args.mu
-    if args.n_cells is not None:
-        raw["grid"]["n_cells"] = args.n_cells
-    if args.t_end is not None:
-        raw["time"]["t_end"] = args.t_end
-    return parse_config(render_config(RunConfig(raw=raw)))
+    flags = (("physics", "mu", args.mu, "--mu"),
+             ("grid", "n_cells", args.n_cells, "--n-cells"),
+             ("time", "t_end", args.t_end, "--t-end"))
+    return parse_config(Path(args.config).read_text(),
+                        [f for f in flags if f[2] is not None])
 
 
 def _emit_trajectory(outdir: Path, cfg: RunConfig, traj, grid) -> None:
@@ -64,15 +58,9 @@ def _emit_trajectory(outdir: Path, cfg: RunConfig, traj, grid) -> None:
         "w1": traj.w[..., 0].ravel(), "w2": traj.w[..., 1].ravel(),
         "b1": traj.b[..., 0].ravel(), "b2": traj.b[..., 1].ravel(),
         "theta": interpolate_to_nodes(traj.theta).ravel()})
-    cols = ["t", "mass", "total_energy", "total_entropy", "min_rho",
-            "max_rho", "min_theta", "max_theta", "dissipation_integral",
-            "w_grad_l2"] + [f"weighted_w_grad_{n}" for n in WEIGHT_ORDERS]
-    rows = np.array([
-        (d.t, d.mass, d.total_energy, d.total_entropy, d.min_rho,
-         d.max_rho, d.min_theta, d.max_theta, d.dissipation_integral,
-         d.w_grad_l2, *(d.weighted_w_grad[n] for n in WEIGHT_ORDERS))
-        for d in traj.diagnostics])
-    _write_csv(outdir / "diagnostics.csv", tag, dict(zip(cols, rows.T)))
+    diag = traj.diagnostics
+    _write_csv(outdir / "diagnostics.csv", tag,
+               {name: diag[name] for name in diag.dtype.names})
 
 
 def _write_summary(outdir: Path, cfg: RunConfig, payload: dict) -> None:
@@ -105,8 +93,8 @@ def cmd_run(cfg: RunConfig, outdir: Path, limit: bool) -> int:
     _write_summary(outdir, cfg, {
         "status": "ok", "t_final": traj.snapshot_times[-1],
         "n_steps": len(traj.diagnostics) - 1,
-        "final_mass": traj.diagnostics[-1].mass,
-        "final_energy": traj.diagnostics[-1].total_energy})
+        "final_mass": float(traj.diagnostics["mass"][-1]),
+        "final_energy": float(traj.diagnostics["total_energy"][-1])})
     return 0
 
 

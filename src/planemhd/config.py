@@ -9,11 +9,11 @@ identical structure.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-from .core import (BoundaryData, GridSpec, KappaModel, PhysParams, PRESETS,
-                   InvalidStateError)
+from .core import BoundaryData, GridSpec, KappaModel, PhysParams, PRESETS
 from .solver import TimeConfig
 
 
@@ -46,8 +46,6 @@ _DEFAULTS = {
 
 _REQUIRED = {"grid": ("n_cells",), "time": ("t_end",)}
 
-_BOUNDARY_PRESETS = ("zero", "constant", "cosine-ramp")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -71,12 +69,7 @@ class RunConfig:
 
     def boundary_data(self) -> BoundaryData:
         b = self.raw["boundary"]
-        if b["preset"] == "zero":
-            return BoundaryData.zero()
-        if b["preset"] == "constant":
-            return BoundaryData.constant([b["amplitude"], 0.0])
-        return BoundaryData.cosine_ramp(amplitude=b["amplitude"],
-                                        ramp_period=b["ramp_period"])
+        return BoundaryData(b["preset"], b["amplitude"], b["ramp_period"])
 
     def time_config(self) -> TimeConfig:
         t = self.raw["time"]
@@ -96,15 +89,23 @@ class RunConfig:
         """sweep.bl_tol if given, else 5% of the boundary amplitude."""
         tol = self.raw["sweep"].get("bl_tol")
         if tol is None:
-            return 0.05 * max(self.raw["boundary"]["amplitude"], 1e-12)
+            return 0.05 * max(abs(self.raw["boundary"]["amplitude"]), 1e-12)
         return tol
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate, resolving all defaults."""
+def parse_config(text: str,
+                 overrides: Iterable[Tuple[str, str, object, str]] = ()
+                 ) -> RunConfig:
+    """Parse and validate, resolving all defaults.
+
+    overrides holds (section, key, value, source) entries, such as the
+    command-line flags: each value replaces the text's before validation,
+    and an error on that key names its source instead of a line.
+    """
     values: Dict[str, Dict[str, object]] = {s: dict(d)
                                             for s, d in _DEFAULTS.items()}
-    seen: Dict[str, Dict[str, int]] = {s: {} for s in _SCHEMA}
+    # where each given key was set: "line N" or an override's source
+    seen: Dict[str, Dict[str, str]] = {s: {} for s in _SCHEMA}
     section: Optional[str] = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -127,15 +128,18 @@ def parse_config(text: str) -> RunConfig:
                               f"{section}.{key}")
         if key in seen[section]:
             raise ConfigError(f"line {lineno}: duplicate key "
-                              f"{section}.{key} (first at line "
+                              f"{section}.{key} (first at "
                               f"{seen[section][key]})")
-        seen[section][key] = lineno
+        seen[section][key] = f"line {lineno}"
         typ = _SCHEMA[section][key]
         try:
             values[section][key] = typ(val)
         except ValueError:
             raise ConfigError(f"line {lineno}: {section}.{key} must be "
                               f"{typ.__name__}, got {val!r}") from None
+    for section, key, value, source in overrides:
+        values[section][key] = value
+        seen[section][key] = source
     for section, keys in _REQUIRED.items():
         for key in keys:
             if key not in values[section]:
@@ -145,55 +149,55 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate(values, seen):
-    def where(section, key):
-        line = seen[section].get(key)
-        return f"line {line}: " if line is not None else ""
+    def bad(section, key, problem):
+        source = seen[section].get(key)
+        where = f"{source}: " if source is not None else ""
+        return ConfigError(f"{where}{section}.{key} {problem}")
 
+    for section, keys in _SCHEMA.items():
+        for key, typ in keys.items():
+            val = values[section].get(key)
+            if typ is float and val is not None and not math.isfinite(val):
+                raise bad(section, key, "must be finite")
     cfg = RunConfig(raw=values)
-    try:
-        cfg.grid_spec()
-    except InvalidStateError as exc:
-        raise ConfigError(f"{where('grid', 'n_cells')}grid.n_cells: "
-                          f"{exc}") from None
+    # these constructors' messages start with the key at fault
+    for section, build in (("grid", cfg.grid_spec),
+                           ("boundary", cfg.boundary_data),
+                           ("time", cfg.time_config)):
+        try:
+            build()
+        except ValueError as exc:
+            raise bad(section, *str(exc).split(" ", 1)) from None
+    # written as `not x > 0` so that NaN fails too
     phys = values["physics"]
     for key in ("lambda", "nu", "gamma", "c_v", "kappa1", "q"):
-        if phys[key] <= 0:
-            raise ConfigError(f"{where('physics', key)}physics.{key} "
-                              f"must be positive")
-    if phys["mu"] < 0:
-        raise ConfigError(f"{where('physics', 'mu')}physics.mu must be "
-                          f"nonnegative")
-    if phys["kappa2"] < 0:
-        raise ConfigError(f"{where('physics', 'kappa2')}physics.kappa2 "
-                          f"must be nonnegative")
+        if not phys[key] > 0:
+            raise bad("physics", key, "must be positive")
+    for key in ("mu", "kappa2"):
+        if not phys[key] >= 0:
+            raise bad("physics", key, "must be nonnegative")
     if values["initial"]["preset"] not in PRESETS:
-        raise ConfigError(f"{where('initial', 'preset')}initial.preset "
-                          f"must be one of {PRESETS}")
-    if values["boundary"]["preset"] not in _BOUNDARY_PRESETS:
-        raise ConfigError(f"{where('boundary', 'preset')}boundary.preset "
-                          f"must be one of {_BOUNDARY_PRESETS}")
-    if values["boundary"]["ramp_period"] <= 0:
-        raise ConfigError(f"{where('boundary', 'ramp_period')}"
-                          f"boundary.ramp_period must be positive")
-    try:
-        cfg.time_config()
-    except ValueError as exc:
-        raise ConfigError(f"time section invalid: {exc}") from None
+        raise bad("initial", "preset", f"must be one of {PRESETS}")
     try:
         mus = cfg.mu_values()
     except ValueError:
-        raise ConfigError(f"{where('sweep', 'mu_values')}sweep.mu_values "
-                          f"must be a comma list of floats") from None
-    if any(m <= 0 for m in mus):
-        raise ConfigError(f"{where('sweep', 'mu_values')}sweep.mu_values "
-                          f"must be strictly positive")
-    if any(b >= a for a, b in zip(mus, mus[1:])):
-        raise ConfigError(f"{where('sweep', 'mu_values')}sweep.mu_values "
-                          f"must be strictly decreasing")
+        raise bad("sweep", "mu_values",
+                  "must be a comma list of floats") from None
+    if not all(0 < m < math.inf for m in mus):
+        raise bad("sweep", "mu_values",
+                  "must be finite and strictly positive")
+    if not all(b < a for a, b in zip(mus, mus[1:])):
+        raise bad("sweep", "mu_values", "must be strictly decreasing")
+    try:
+        deltas = cfg.interior_deltas()
+    except ValueError:
+        raise bad("sweep", "interior_deltas",
+                  "must be a comma list of floats") from None
+    if not all(0 < d < 0.5 for d in deltas):
+        raise bad("sweep", "interior_deltas", "must lie in (0, 1/2)")
     tol = values["sweep"].get("bl_tol")
-    if tol is not None and not tol > 0:      # NaN fails too
-        raise ConfigError(f"{where('sweep', 'bl_tol')}sweep.bl_tol must be "
-                          f"positive")
+    if tol is not None and not tol > 0:
+        raise bad("sweep", "bl_tol", "must be positive")
 
 
 def render_config(cfg: RunConfig) -> str:

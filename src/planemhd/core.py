@@ -9,7 +9,7 @@ workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -18,8 +18,8 @@ class InvalidStateError(ValueError):
     """Raised when field data violates positivity or boundary constraints."""
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:
+    out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -56,11 +56,11 @@ class KappaModel:
     q: float = 2.0
 
     def __post_init__(self):
-        if self.kappa1 <= 0:
+        if not self.kappa1 > 0:                 # NaN fails too
             raise InvalidStateError("kappa1 must be positive")
-        if self.kappa2 < 0:
+        if not self.kappa2 >= 0:
             raise InvalidStateError("kappa2 must be nonnegative")
-        if self.q <= 0:
+        if not self.q > 0:
             raise InvalidStateError("q must be positive")
 
 
@@ -81,53 +81,63 @@ class PhysParams:
 
     def __post_init__(self):
         for name in ("lam", "nu", "gamma", "c_v"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:     # NaN fails too
                 raise InvalidStateError(f"{name} must be positive")
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise InvalidStateError("mu must be nonnegative")
+
+
+BOUNDARY_PRESETS = ("zero", "constant", "cosine-ramp")
 
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Transverse velocity data at the two walls as functions of time.
+    """Transverse velocity data at the walls, as plain data.
 
-    u, b and theta_x are homogeneous at the walls and carry no free data.
+    Both walls carry at(t) = (g(t), 0): g is zero for "zero", amplitude
+    for "constant", and for "cosine-ramp" a smooth ramp from 0 to
+    amplitude over ramp_period, then held. u, b and theta_x are
+    homogeneous at the walls and carry no free data.
     """
 
-    w_minus: Callable[[float], np.ndarray]
-    w_plus: Callable[[float], np.ndarray]
-    preset: str = "custom"
+    preset: str = "zero"
     amplitude: float = 0.0
-    ramp_period: float = 0.0
+    ramp_period: float = 0.25
+
+    def __post_init__(self):
+        if self.preset not in BOUNDARY_PRESETS:
+            raise InvalidStateError(f"preset must be one of "
+                                    f"{BOUNDARY_PRESETS}")
+        if not np.isfinite(self.amplitude):
+            raise InvalidStateError("amplitude must be finite")
+        if not self.ramp_period > 0:            # NaN fails too
+            raise InvalidStateError("ramp_period must be positive")
+
+    def at(self, t: float) -> np.ndarray:
+        """The wall value of w at time t, the same at both walls."""
+        if self.preset == "zero":
+            return np.zeros(2)
+        if self.preset == "constant":
+            return np.array([self.amplitude, 0.0])
+        s = min(max(t / self.ramp_period, 0.0), 1.0)
+        return np.array([0.5 * self.amplitude * (1.0 - np.cos(np.pi * s)),
+                         0.0])
 
     @staticmethod
     def zero() -> "BoundaryData":
-        f = lambda t: np.zeros(2)
-        return BoundaryData(f, f, preset="zero")
+        return BoundaryData("zero")
 
     @staticmethod
-    def constant(value: Sequence[float]) -> "BoundaryData":
-        v = _frozen(value)
-        f = lambda t: v
-        return BoundaryData(f, f, preset="constant",
-                            amplitude=float(np.abs(v).max()))
+    def constant(amplitude: float) -> "BoundaryData":
+        return BoundaryData("constant", float(amplitude))
 
     @staticmethod
     def cosine_ramp(amplitude: float = 1.0,
                     ramp_period: float = 0.25) -> "BoundaryData":
-        """Smooth ramp from 0 to amplitude over ramp_period, then held.
-
-        Vanishes with zero slope at t = 0, so it is compatible with
-        transverse fields that start from rest.
-        """
-        A, Tr = float(amplitude), float(ramp_period)
-
-        def f(t: float) -> np.ndarray:
-            s = min(max(t / Tr, 0.0), 1.0)
-            return np.array([0.5 * A * (1.0 - np.cos(np.pi * s)), 0.0])
-
-        return BoundaryData(f, f, preset="cosine-ramp",
-                            amplitude=A, ramp_period=Tr)
+        """Vanishes with zero slope at t = 0, so it is compatible with
+        transverse fields that start from rest."""
+        return BoundaryData("cosine-ramp", float(amplitude),
+                            float(ramp_period))
 
 
 @dataclass(frozen=True)
@@ -183,7 +193,8 @@ class Trajectory:
     With S snapshots on an N-cell grid, snapshot_times is (S,), rho and
     theta are (S, N), u is (S, N+1), w and b are (S, N+1, 2). The arrays
     are read-only. The constructor stacks validated FlowStates and takes
-    each snapshot time from its state's t.
+    each snapshot time from its state's t. diagnostics is the structured
+    table of diagnostics.DIAGNOSTICS_DTYPE rows, kept as a read-only copy.
     """
 
     snapshot_times: np.ndarray
@@ -192,9 +203,9 @@ class Trajectory:
     w: np.ndarray
     b: np.ndarray
     theta: np.ndarray
-    diagnostics: tuple
+    diagnostics: np.ndarray
 
-    def __init__(self, states: Sequence[FlowState], diagnostics: Sequence):
+    def __init__(self, states: Sequence[FlowState], diagnostics):
         if not states:
             raise InvalidStateError("a trajectory needs at least one state")
         t = _frozen([s.t for s in states])
@@ -206,7 +217,7 @@ class Trajectory:
             stacked = np.stack([getattr(s, name) for s in states])
             stacked.setflags(write=False)
             object.__setattr__(self, name, stacked)
-        object.__setattr__(self, "diagnostics", tuple(diagnostics))
+        object.__setattr__(self, "diagnostics", _frozen(diagnostics, None))
 
 
 def interpolate_to_nodes(cell_values: np.ndarray) -> np.ndarray:
@@ -268,6 +279,5 @@ def make_initial_state(grid: GridSpec, profiles: _Profiles = "uniform",
             raise InvalidStateError("tabulated b must vanish at the walls")
     if bdry is not None:
         w = np.array(w)
-        w[0] = bdry.w_minus(0.0)
-        w[-1] = bdry.w_plus(0.0)
+        w[0] = w[-1] = bdry.at(0.0)
     return FlowState(t=0.0, rho=rho, u=u, w=w, b=b, theta=theta)

@@ -8,7 +8,7 @@ time; gradients are the same forward differences the solver uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -18,19 +18,13 @@ from .eos import dissipation_q, entropy_density, total_energy_density
 WEIGHT_ORDERS = (1, 2, 3, 4)
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    t: float
-    mass: float
-    total_energy: float
-    total_entropy: float
-    min_rho: float
-    max_rho: float
-    min_theta: float
-    max_theta: float
-    dissipation_integral: float
-    w_grad_l2: float                     # squared L2 norm of w_x
-    weighted_w_grad: Dict[int, float]
+# One row per recorded state; diagnostics.csv writes these columns in
+# this order. w_grad_l2 is the squared L2 norm of w_x, weighted_w_grad_n
+# the same norm weighted by omega ** n.
+DIAGNOSTICS_DTYPE = np.dtype([(name, np.float64) for name in (
+    "t", "mass", "total_energy", "total_entropy", "min_rho", "max_rho",
+    "min_theta", "max_theta", "dissipation_integral", "w_grad_l2",
+    *(f"weighted_w_grad_{n}" for n in WEIGHT_ORDERS))])
 
 
 @dataclass(frozen=True)
@@ -73,28 +67,26 @@ def total_energy(fields: Union[FlowState, Trajectory], grid: GridSpec,
     return e.sum(axis=-1) * grid.dx
 
 
-def record(state: FlowState, grid: GridSpec,
-           params: PhysParams) -> DiagnosticsRecord:
+def record(state: FlowState, grid: GridSpec, params: PhysParams) -> np.void:
+    """One DIAGNOSTICS_DTYPE row for a state, read by field name."""
     dx = grid.dx
-    mass = float(state.rho.sum() * dx)
-    energy = float(total_energy(state, grid, params))
-    entropy = float((state.rho * entropy_density(
-        state.rho, state.theta, params.gamma)).sum() * dx)
     u_x = np.diff(state.u) / dx
     w_x = np.diff(state.w, axis=0) / dx
     b_x = np.diff(state.b, axis=0) / dx
-    diss = float(dissipation_q(u_x, w_x, b_x, params).sum() * dx)
     wg2 = (w_x * w_x).sum(axis=-1)
-    w_grad = float(wg2.sum() * dx)
     om = weight_omega(grid.cell_centers)
-    weighted = {n: float((om ** n * wg2).sum() * dx) for n in WEIGHT_ORDERS}
-    return DiagnosticsRecord(
-        t=state.t, mass=mass, total_energy=energy, total_entropy=entropy,
-        min_rho=float(state.rho.min()), max_rho=float(state.rho.max()),
-        min_theta=float(state.theta.min()),
-        max_theta=float(state.theta.max()),
-        dissipation_integral=diss, w_grad_l2=w_grad,
-        weighted_w_grad=weighted)
+    # one row per order, each om ** n with a scalar exponent: the row sums
+    # of this C-contiguous stack round as the 1-D sum of each row does
+    weighted = (np.stack([om ** n for n in WEIGHT_ORDERS]) * wg2).sum(
+        axis=-1) * dx
+    entropy = (state.rho * entropy_density(
+        state.rho, state.theta, params.gamma)).sum() * dx
+    # in the order of DIAGNOSTICS_DTYPE
+    return np.array((
+        state.t, state.rho.sum() * dx, total_energy(state, grid, params),
+        entropy, state.rho.min(), state.rho.max(), state.theta.min(),
+        state.theta.max(), dissipation_q(u_x, w_x, b_x, params).sum() * dx,
+        wg2.sum() * dx, *weighted), DIAGNOSTICS_DTYPE)[()]
 
 
 def energy_balance_residual(traj: Trajectory, grid: GridSpec,
@@ -129,7 +121,7 @@ def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def entropy_monotonicity(traj: Trajectory) -> float:
     """Minimum inter-snapshot increment of the total entropy integral."""
-    s = np.array([d.total_entropy for d in traj.diagnostics])
+    s = traj.diagnostics["total_entropy"]
     if len(s) < 2:
         return 0.0
     return float(np.diff(s).min())

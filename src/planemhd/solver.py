@@ -51,12 +51,13 @@ class TimeConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
+        # each check names its key first; the comparisons fail on NaN
+        if not 0 <= self.t_end < np.inf:
+            raise ValueError("t_end must be finite and nonnegative")
         if not 0 < self.cfl <= 1:
             raise ValueError("cfl must lie in (0, 1]")
-        if self.dt_min > self.dt_max:
-            raise ValueError("dt_min must not exceed dt_max")
+        if not 0 < self.dt_min <= self.dt_max:
+            raise ValueError("dt_min must satisfy 0 < dt_min <= dt_max")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be a positive integer")
 
@@ -81,9 +82,9 @@ class ForcingSpec:
 
 # LAPACK dgtsv (Fortran calling convention, 64-bit integers) from the
 # OpenBLAS that numpy's wheels bundle and `import numpy` has already
-# loaded; None on builds that do not export it (numpy 1.x wheels, distro
-# and MKL builds), which fall back to _thomas_solve. The Fortran routine,
-# unlike LAPACKE_dgtsv, does not reject NaN input, so a NaN reaches the
+# loaded; None on builds that do not export it (distro and MKL builds),
+# which fall back to _thomas_solve. The Fortran routine, unlike
+# LAPACKE_dgtsv, does not reject NaN input, so a NaN reaches the
 # positivity checks of the sub-steps on both paths.
 _dgtsv = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__),
                  "scipy_dgtsv_64_", None)
@@ -312,8 +313,7 @@ def advance_transverse(state: FlowState, grid: GridSpec, dt: float,
         return _advance_transverse_limit(state, grid, dt, params,
                                          rho_new, u_new, forcing)
     t_new = state.t + dt
-    wl = bdry.w_minus(t_new)
-    wr = bdry.w_plus(t_new)
+    wl = wr = bdry.at(t_new)
     f_w = None
     if forcing is not None and forcing.transverse is not None:
         f_w = forcing.transverse(grid.node_positions, t_new)
@@ -463,7 +463,8 @@ def run(initial: FlowState, grid: GridSpec, params: PhysParams,
     """Integrate to t_end with CFL-controlled steps and dt-halving retry.
 
     Snapshots are stored every snapshot_stride accepted steps plus the
-    final state; a DiagnosticsRecord is attached for every accepted step.
+    final state; the diagnostics table has one row for the initial state
+    and one for every accepted step.
     """
     t_end = cfg.t_end
     state = initial
@@ -494,7 +495,7 @@ def run(initial: FlowState, grid: GridSpec, params: PhysParams,
         diags.append(_diag.record(state, grid, params))
         if k % cfg.snapshot_stride == 0 or state.t >= t_end - eps:
             snapshots.append(state)
-    return Trajectory(snapshots, diags)
+    return Trajectory(snapshots, np.array(diags, _diag.DIAGNOSTICS_DTYPE))
 
 
 def run_limit(initial: FlowState, grid: GridSpec, params: PhysParams,

@@ -53,7 +53,7 @@ def bl_thickness(traj: Trajectory, reference: Trajectory, tol: float,
 
     The time-max deviation profile is computed once and each candidate
     interior is a mask over it."""
-    if tol <= 0:
+    if not tol > 0:                 # NaN fails too
         raise ValueError("tol must be positive")
     profile = deviation_profile(traj, reference)
     k = 1
@@ -80,9 +80,9 @@ class SweepPlan:
 
     def __post_init__(self):
         mu = np.asarray(self.mu_values, dtype=float)
-        if np.any(mu <= 0):
+        if not np.all(mu > 0):          # NaN fails too
             raise ValueError("mu_values must be strictly positive")
-        if np.any(np.diff(mu) >= 0):
+        if not np.all(np.diff(mu) < 0):
             raise ValueError("mu_values must be strictly decreasing")
 
 
@@ -117,13 +117,13 @@ class SweepResult:
 def _summarize(traj: Trajectory) -> RunSummary:
     d = traj.diagnostics
     return RunSummary(
-        max_theta=max(r.max_theta for r in d),
-        min_theta=min(r.min_theta for r in d),
-        max_rho=max(r.max_rho for r in d),
-        min_rho=min(r.min_rho for r in d),
+        max_theta=float(d["max_theta"].max()),
+        min_theta=float(d["min_theta"].min()),
+        max_rho=float(d["max_rho"].max()),
+        min_rho=float(d["min_rho"].min()),
         max_abs_w=float(np.abs(traj.w).max()),
-        max_w_grad_l2=max(r.w_grad_l2 for r in d),
-        max_weighted_w_grad=max(r.weighted_w_grad[1] for r in d))
+        max_w_grad_l2=float(d["w_grad_l2"].max()),
+        max_weighted_w_grad=float(d["weighted_w_grad_1"].max()))
 
 
 def _rate_fit_with_exclusion(points: List[Tuple[float, float]]

@@ -60,9 +60,9 @@ def check_conservation(tol_mass: float = 1e-12,
     cfg = TimeConfig(t_end=0.2)
     traj = run(make_initial_state(grid, "bump"), grid, params,
                BoundaryData.zero(), cfg)
-    masses = np.array([d.mass for d in traj.diagnostics])
+    masses = traj.diagnostics["mass"]
     drift = float(np.abs(masses - masses[0]).max() / masses[0])
-    dts = np.diff([d.t for d in traj.diagnostics])
+    dts = np.diff(traj.diagnostics["t"])
     ent_tol = tol_entropy_scale * float(dts.max()) * grid.dx
     ent_min = entropy_monotonicity(traj)
     passed = drift <= tol_mass and ent_min >= -ent_tol

@@ -73,6 +73,23 @@ class TestArguments:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--mu", "-0.5", "--mu: physics.mu must be nonnegative"),
+        ("--mu", "nan", "--mu: physics.mu must be finite"),
+        ("--n-cells", "4", "--n-cells: grid.n_cells must be >= 8"),
+        ("--t-end", "-1", "--t-end: time.t_end must be finite")])
+    def test_bad_override_names_flag(self, tmp_path, capsys, flag, value,
+                                     message):
+        """An invalid override is blamed on its flag, not on a line of
+        the file."""
+        cfg = _write(tmp_path, RUN_CFG)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                   flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert "line" not in err
+
 
 class TestRunCommand:
     def test_outputs(self, tmp_path):
@@ -116,7 +133,7 @@ class TestRunCommand:
 
     def test_csv_values_round_trip(self, tmp_path):
         """Every value written parses back to the exact float of the
-        trajectory arrays and of the diagnostics records."""
+        trajectory arrays and of the diagnostics table."""
         out = tmp_path / "out"
         assert main(["run", "--config", _write(tmp_path, RUN_CFG),
                      "--out", str(out)]) == 0
@@ -139,12 +156,7 @@ class TestRunCommand:
         diag = _read_csv(out / "diagnostics.csv")
         assert len(diag) == 10 + len(WEIGHT_ORDERS)
         for name, got in diag.items():
-            if name.startswith("weighted_w_grad_"):
-                n = int(name.rsplit("_", 1)[1])
-                want = [d.weighted_w_grad[n] for d in traj.diagnostics]
-            else:
-                want = [getattr(d, name) for d in traj.diagnostics]
-            assert np.array_equal(got, want), name
+            assert np.array_equal(got, traj.diagnostics[name]), name
 
 
 class TestSweepCommand:

@@ -74,6 +74,49 @@ class TestValidation:
                            match="line 9: sweep.bl_tol must be positive"):
             parse_config(MINIMAL + f"\n[sweep]\nbl_tol = {value}\n")
 
+    @pytest.mark.parametrize("section, line, message", [
+        ("physics", "lambda = nan", "physics.lambda must be finite"),
+        ("physics", "mu = nan", "physics.mu must be finite"),
+        ("physics", "nu = inf", "physics.nu must be finite"),
+        ("physics", "gamma = 0", "physics.gamma must be positive"),
+        ("physics", "kappa2 = -1", "physics.kappa2 must be nonnegative"),
+        ("boundary", "preset = custom", "boundary.preset must be one of"),
+        ("boundary", "ramp_period = nan", "boundary.ramp_period must be "
+                                          "finite"),
+        ("boundary", "ramp_period = 0", "boundary.ramp_period must be "
+                                        "positive"),
+        ("boundary", "amplitude = inf", "boundary.amplitude must be "
+                                        "finite"),
+        ("boundary", "amplitude = nan", "boundary.amplitude must be "
+                                        "finite"),
+        ("time", "dt_min = 0\ndt_max = 0", "time.dt_min must satisfy"),
+        ("time", "dt_min = -2\ndt_max = -1", "time.dt_min must satisfy"),
+        ("time", "dt_min = 0.5", "time.dt_min must satisfy"),
+        ("time", "dt_max = nan", "time.dt_max must be finite"),
+        ("sweep", "mu_values = 1e-2,nan,1e-4", "sweep.mu_values must be "
+                                               "finite and strictly "
+                                               "positive"),
+        ("sweep", "mu_values = inf,1e-2", "sweep.mu_values must be finite"),
+        ("sweep", "interior_deltas = 0.1,nan", "sweep.interior_deltas "
+                                               "must lie in"),
+        ("sweep", "interior_deltas = 0.1,0.5", "sweep.interior_deltas "
+                                               "must lie in"),
+        ("sweep", "bl_tol = nan", "sweep.bl_tol must be finite")])
+    def test_rejects_nonfinite_and_nonpositive(self, section, line,
+                                               message):
+        """Each value is rejected at its line; none of these configs is
+        ever run."""
+        text = MINIMAL + f"\n[{section}]\n{line}\n"
+        with pytest.raises(ConfigError, match=f"line 9: {message}"):
+            parse_config(text)
+
+    def test_override_replaces_value(self):
+        cfg = parse_config(MINIMAL + "\n[physics]\nmu = 0.2\n",
+                           [("physics", "mu", 0.05, "--mu")])
+        assert cfg["physics"]["mu"] == 0.05
+        assert cfg.raw == parse_config(
+            MINIMAL + "\n[physics]\nmu = 0.05\n").raw
+
 
 class TestFactories:
     def test_phys_params(self):
@@ -86,13 +129,17 @@ class TestFactories:
         cfg = parse_config(MINIMAL + "\n[boundary]\npreset = cosine-ramp\n"
                            "amplitude = 0.5\nramp_period = 0.1\n")
         bd = cfg.boundary_data()
-        assert bd.w_minus(1.0)[0] == pytest.approx(0.5)
+        assert bd.at(1.0)[0] == pytest.approx(0.5)
 
     def test_bl_tol_defaults_to_amplitude_fraction(self):
         cfg = parse_config(MINIMAL + "\n[boundary]\namplitude = 2.0\n")
         assert cfg.bl_tol() == pytest.approx(0.1)
         cfg2 = parse_config(MINIMAL + "\n[sweep]\nbl_tol = 0.03\n")
         assert cfg2.bl_tol() == 0.03
+
+    def test_bl_tol_default_uses_amplitude_magnitude(self):
+        cfg = parse_config(MINIMAL + "\n[boundary]\namplitude = -2.0\n")
+        assert cfg.bl_tol() == pytest.approx(0.1)
 
     def test_mu_values(self):
         cfg = parse_config(MINIMAL)

@@ -42,24 +42,53 @@ class TestParams:
         # mu = 0 selects the limit system and is allowed
         assert PhysParams(mu=0.0).mu == 0.0
 
+    @pytest.mark.parametrize("make", [
+        lambda: PhysParams(mu=np.nan), lambda: PhysParams(lam=np.nan),
+        lambda: PhysParams(gamma=np.nan), lambda: KappaModel(kappa1=np.nan),
+        lambda: KappaModel(kappa2=np.nan), lambda: KappaModel(q=np.nan)])
+    def test_nan_rejected(self, make):
+        with pytest.raises(InvalidStateError):
+            make()
+
 
 class TestBoundaryData:
     def test_zero(self):
         bd = BoundaryData.zero()
-        np.testing.assert_array_equal(bd.w_minus(3.0), [0.0, 0.0])
+        np.testing.assert_array_equal(bd.at(3.0), [0.0, 0.0])
 
     def test_cosine_ramp_endpoints(self):
         bd = BoundaryData.cosine_ramp(amplitude=2.0, ramp_period=0.5)
-        np.testing.assert_allclose(bd.w_minus(0.0), [0.0, 0.0])
-        np.testing.assert_allclose(bd.w_minus(0.25), [1.0, 0.0])
-        np.testing.assert_allclose(bd.w_minus(0.5), [2.0, 0.0])
+        np.testing.assert_allclose(bd.at(0.0), [0.0, 0.0])
+        np.testing.assert_allclose(bd.at(0.25), [1.0, 0.0])
+        np.testing.assert_allclose(bd.at(0.5), [2.0, 0.0])
         # held after the ramp
-        np.testing.assert_allclose(bd.w_minus(10.0), [2.0, 0.0])
+        np.testing.assert_allclose(bd.at(10.0), [2.0, 0.0])
 
     def test_cosine_ramp_starts_flat(self):
         bd = BoundaryData.cosine_ramp(1.0, 0.25)
         eps = 1e-6
-        assert bd.w_minus(eps)[0] < 1e-9
+        assert bd.at(eps)[0] < 1e-9
+
+    def test_constant(self):
+        np.testing.assert_array_equal(
+            BoundaryData.constant(-0.7).at(2.0), [-0.7, 0.0])
+
+    def test_plain_data_hashes(self):
+        a = BoundaryData.cosine_ramp(1.0, 0.25)
+        assert a == BoundaryData("cosine-ramp", 1.0, 0.25)
+        assert hash(a) == hash(BoundaryData("cosine-ramp", 1.0, 0.25))
+        assert len({a, BoundaryData.zero(), BoundaryData.zero()}) == 2
+
+    @pytest.mark.parametrize("kwargs", [
+        {"preset": "custom"},
+        {"preset": "constant", "amplitude": float("nan")},
+        {"preset": "constant", "amplitude": float("inf")},
+        {"preset": "cosine-ramp", "amplitude": 1.0, "ramp_period": 0.0},
+        {"preset": "cosine-ramp", "amplitude": 1.0,
+         "ramp_period": float("nan")}])
+    def test_rejects_bad_data(self, kwargs):
+        with pytest.raises(InvalidStateError):
+            BoundaryData(**kwargs)
 
 
 def _arrays(n):
@@ -168,7 +197,7 @@ class TestMakeInitialState:
                                              "theta": np.ones(n), "u": u})
 
     def test_boundary_data_sets_wall_w(self):
-        bd = BoundaryData.constant([0.7, 0.0])
+        bd = BoundaryData.constant(0.7)
         s = make_initial_state(GridSpec(8), "transverse-rest", bd)
         assert s.w[0, 0] == 0.7
         assert s.w[-1, 0] == 0.7

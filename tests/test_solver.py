@@ -133,6 +133,16 @@ class TestTimeConfig:
         with pytest.raises(ValueError):
             TimeConfig(t_end=1.0, dt_min=1.0, dt_max=0.1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"dt_min": 0.0, "dt_max": 0.0}, {"dt_min": -2.0, "dt_max": -1.0},
+        {"dt_min": np.nan}, {"dt_max": np.nan}, {"t_end": np.nan},
+        {"t_end": np.inf}, {"cfl": np.nan}])
+    def test_rejects_nonpositive_and_nan(self, kwargs):
+        """Only constructed: with dt_min = dt_max = 0, run would halve a
+        zero step forever."""
+        with pytest.raises(ValueError):
+            TimeConfig(**{"t_end": 1.0, **kwargs})
+
 
 class TestStableDt:
     def test_uniform_state_formula(self):
@@ -291,6 +301,30 @@ class TestRun:
                    BoundaryData.zero(), cfg)
         # far fewer snapshots than accepted steps
         assert len(traj.snapshot_times) < len(traj.diagnostics) / 2
+
+    def test_diagnostics_row_per_accepted_step(self, monkeypatch):
+        """One diagnostics row for the initial state and one for each
+        accepted step; a rejected attempt adds none."""
+        real_step = solver.step
+        attempts, accepted = [], []
+
+        def step_rejecting_third(state, *args):
+            attempts.append(state.t)
+            if len(attempts) == 3:
+                raise StepFailure("test rejection", "u", 0, state.t)
+            out = real_step(state, *args)
+            accepted.append(out.t)
+            return out
+
+        monkeypatch.setattr(solver, "step", step_rejecting_third)
+        grid = GridSpec(16)
+        traj = run(make_initial_state(grid, "bump"), grid, PhysParams(),
+                   BoundaryData.zero(), TimeConfig(t_end=0.05))
+        assert len(attempts) == len(accepted) + 1
+        assert len(traj.diagnostics) == len(accepted) + 1
+        np.testing.assert_array_equal(traj.diagnostics["t"],
+                                      [0.0] + accepted)
+        assert not traj.diagnostics.flags.writeable
 
     def test_nan_state_fails_cleanly(self):
         """NaN fails the positivity checks and the CFL step, so a NaN

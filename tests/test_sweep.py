@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,12 +174,32 @@ class TestBlThickness:
 
 
 class TestSweepPlan:
-    def _plan(self, mu_values):
+    def _plan(self, mu_values, bdry=BoundaryData.zero()):
         grid = GridSpec(16)
         return SweepPlan(mu_values=mu_values, grid=grid,
-                         params=PhysParams(), bdry=BoundaryData.zero(),
+                         params=PhysParams(), bdry=bdry,
                          time=TimeConfig(t_end=0.01),
                          initial=make_initial_state(grid, "uniform"))
+
+    @pytest.mark.parametrize("mu_values", [(1e-2, np.nan, 1e-4),
+                                           (np.nan,)])
+    def test_rejects_nan(self, mu_values):
+        with pytest.raises(ValueError):
+            self._plan(mu_values)
+
+    def test_pickles(self):
+        """A plan is plain data: it survives a pickle round trip and the
+        copy runs the same sweep."""
+        plan = self._plan((1e-2, 1e-3, 1e-4),
+                          BoundaryData.cosine_ramp(0.5, 0.005))
+        copy = pickle.loads(pickle.dumps(plan))
+        for name in ("mu_values", "grid", "params", "bdry", "time",
+                     "bl_tol", "interior_deltas"):
+            assert getattr(copy, name) == getattr(plan, name), name
+        for name in ("rho", "u", "w", "b", "theta"):
+            np.testing.assert_array_equal(getattr(copy.initial, name),
+                                          getattr(plan.initial, name))
+        assert run_sweep(copy).errors == run_sweep(plan).errors
 
     def test_rejects_nondecreasing(self):
         with pytest.raises(ValueError):
