@@ -5,7 +5,7 @@ from .core import (BoundaryData, FlowState, GridSpec, InvalidStateError,
                    KappaModel, PhysParams, Trajectory, interpolate_to_nodes,
                    make_initial_state)
 from .solver import (ForcingSpec, RunAborted, StepFailure, TimeConfig, run,
-                     run_limit, step, tridiag_solve)
+                     run_limit, run_lockstep, step, tridiag_solve)
 from .diagnostics import (DIAGNOSTICS_DTYPE, ErrorNorms,
                           energy_balance_residual, entropy_monotonicity,
                           error_norms, interior_sup_deviation, record,

@@ -19,7 +19,10 @@ class InvalidStateError(ValueError):
 
 
 def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+    # C order, so that the rows of a batch are contiguous and their
+    # reductions round as those of one state (a broadcast input would
+    # otherwise keep its member axis innermost)
+    out = np.array(a, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 
@@ -140,12 +143,17 @@ class BoundaryData:
                             float(ramp_period))
 
 
+STATE_FIELDS = ("rho", "u", "w", "b", "theta")
+
+
 @dataclass(frozen=True)
 class FlowState:
     """Field arrays at one time instant.
 
     rho and theta are cell-centered (n_cells,), u is node-centered
     (n_cells+1,), w and b are node-centered 2-vectors (n_cells+1, 2).
+    A leading member axis stacks the states of a lockstep batch at one
+    shared time t: rho (R, n_cells), u (R, n_cells+1), w (R, n_cells+1, 2).
     """
 
     t: float
@@ -156,33 +164,31 @@ class FlowState:
     theta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", _frozen(self.rho))
-        object.__setattr__(self, "u", _frozen(self.u))
-        object.__setattr__(self, "w", _frozen(self.w))
-        object.__setattr__(self, "b", _frozen(self.b))
-        object.__setattr__(self, "theta", _frozen(self.theta))
-        n = self.rho.shape[0]
-        if self.theta.shape != (n,):
+        for name in STATE_FIELDS:
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        lead, n = self.rho.shape[:-1], self.rho.shape[-1]
+        if self.theta.shape != self.rho.shape:
             raise InvalidStateError("rho and theta must have equal length")
-        if self.u.shape != (n + 1,):
+        if self.u.shape != lead + (n + 1,):
             raise InvalidStateError("u must be node-centered (n_cells+1,)")
-        if self.w.shape != (n + 1, 2) or self.b.shape != (n + 1, 2):
+        if self.w.shape != lead + (n + 1, 2) or self.b.shape != self.w.shape:
             raise InvalidStateError("w and b must have shape (n_cells+1, 2)")
         for name in ("rho", "theta"):
             vals = getattr(self, name)
-            if not np.all(vals > 0):
-                idx = int(np.argmin(vals))
+            if not (vals > 0).all():
+                idx = np.unravel_index(np.argmin(vals), vals.shape)
                 raise InvalidStateError(
                     f"{name} must be positive everywhere; "
-                    f"{name}[{idx}] = {vals[idx]}")
-        if self.u[0] != 0.0 or self.u[-1] != 0.0:
+                    f"{name}[{', '.join(map(str, idx))}] = {vals[idx]}")
+        walls = slice(None, None, n)            # the nodes 0 and n
+        if (self.u[..., walls] != 0.0).any():
             raise InvalidStateError("u must vanish at the boundary nodes")
-        if np.any(self.b[0] != 0.0) or np.any(self.b[-1] != 0.0):
+        if (self.b[..., walls, :] != 0.0).any():
             raise InvalidStateError("b must vanish at the boundary nodes")
 
     @property
     def n_cells(self) -> int:
-        return self.rho.shape[0]
+        return self.rho.shape[-1]
 
 
 @dataclass(frozen=True, init=False)
@@ -208,15 +214,30 @@ class Trajectory:
     def __init__(self, states: Sequence[FlowState], diagnostics):
         if not states:
             raise InvalidStateError("a trajectory needs at least one state")
-        t = _frozen([s.t for s in states])
+        self._keep([s.t for s in states],
+                   {name: np.stack([getattr(s, name) for s in states])
+                    for name in STATE_FIELDS}, diagnostics)
+
+    @classmethod
+    def from_arrays(cls, snapshot_times: Sequence[float],
+                    fields: Mapping[str, np.ndarray],
+                    diagnostics) -> "Trajectory":
+        """A trajectory over fields already stacked along a leading time
+        axis from validated states, as the solver collects them. The
+        field arrays are kept, not copied, and become read-only."""
+        traj = cls.__new__(cls)
+        traj._keep(snapshot_times, fields, diagnostics)
+        return traj
+
+    def _keep(self, snapshot_times, fields, diagnostics):
+        t = _frozen(snapshot_times)
         if t[0] != 0.0 or np.any(np.diff(t) <= 0):
             raise InvalidStateError(
                 "snapshot times must start at 0 and be strictly increasing")
         object.__setattr__(self, "snapshot_times", t)
-        for name in ("rho", "u", "w", "b", "theta"):
-            stacked = np.stack([getattr(s, name) for s in states])
-            stacked.setflags(write=False)
-            object.__setattr__(self, name, stacked)
+        for name in STATE_FIELDS:
+            fields[name].setflags(write=False)
+            object.__setattr__(self, name, fields[name])
         object.__setattr__(self, "diagnostics", _frozen(diagnostics, None))
 
 

@@ -8,12 +8,14 @@ time; gradients are the same forward differences the solver uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple, Union
 
 import numpy as np
 
 from .core import FlowState, GridSpec, PhysParams, Trajectory
-from .eos import dissipation_q, entropy_density, total_energy_density
+from .eos import (dissipation_q, entropy_density, sq_norm,
+                  total_energy_density)
 
 WEIGHT_ORDERS = (1, 2, 3, 4)
 
@@ -67,26 +69,43 @@ def total_energy(fields: Union[FlowState, Trajectory], grid: GridSpec,
     return e.sum(axis=-1) * grid.dx
 
 
-def record(state: FlowState, grid: GridSpec, params: PhysParams) -> np.void:
-    """One DIAGNOSTICS_DTYPE row for a state, read by field name."""
-    dx = grid.dx
-    u_x = np.diff(state.u) / dx
-    w_x = np.diff(state.w, axis=0) / dx
-    b_x = np.diff(state.b, axis=0) / dx
-    wg2 = (w_x * w_x).sum(axis=-1)
+@lru_cache(maxsize=8)
+def _omega_powers(grid: GridSpec) -> np.ndarray:
+    """The read-only (len(WEIGHT_ORDERS), N) stack of omega ** n at the
+    cell centers, computed once per grid.
+
+    One row per order, each om ** n with a scalar exponent: the row sums
+    of this C-contiguous stack, times a field, round as the 1-D sum of
+    each row does (an integer-array exponent changes some squares in the
+    last bit)."""
     om = weight_omega(grid.cell_centers)
-    # one row per order, each om ** n with a scalar exponent: the row sums
-    # of this C-contiguous stack round as the 1-D sum of each row does
-    weighted = (np.stack([om ** n for n in WEIGHT_ORDERS]) * wg2).sum(
+    powers = np.stack([om ** n for n in WEIGHT_ORDERS])
+    powers.setflags(write=False)
+    return powers
+
+
+def record(state: FlowState, grid: GridSpec, params: PhysParams):
+    """One DIAGNOSTICS_DTYPE row per state, read by field name: an
+    np.void for one state, an (R,) array for a lockstep batch of R."""
+    dx = grid.dx
+    rho, theta = state.rho, state.theta
+    u_x = np.diff(state.u, axis=-1) / dx
+    w_x = np.diff(state.w, axis=-2) / dx
+    b_x = np.diff(state.b, axis=-2) / dx
+    wg2 = sq_norm(w_x)
+    weighted = (_omega_powers(grid) * wg2[..., None, :]).sum(axis=-1) * dx
+    entropy = (rho * entropy_density(rho, theta, params.gamma)).sum(
         axis=-1) * dx
-    entropy = (state.rho * entropy_density(
-        state.rho, state.theta, params.gamma)).sum() * dx
+    rows = np.empty(rho.shape[:-1], DIAGNOSTICS_DTYPE)
     # in the order of DIAGNOSTICS_DTYPE
-    return np.array((
-        state.t, state.rho.sum() * dx, total_energy(state, grid, params),
-        entropy, state.rho.min(), state.rho.max(), state.theta.min(),
-        state.theta.max(), dissipation_q(u_x, w_x, b_x, params).sum() * dx,
-        wg2.sum() * dx, *weighted), DIAGNOSTICS_DTYPE)[()]
+    for name, value in zip(DIAGNOSTICS_DTYPE.names, (
+            state.t, rho.sum(axis=-1) * dx, total_energy(state, grid, params),
+            entropy, rho.min(axis=-1), rho.max(axis=-1),
+            theta.min(axis=-1), theta.max(axis=-1),
+            dissipation_q(u_x, w_x, b_x, params).sum(axis=-1) * dx,
+            wg2.sum(axis=-1) * dx, *weighted.T)):
+        rows[name] = value
+    return rows[()]
 
 
 def energy_balance_residual(traj: Trajectory, grid: GridSpec,

@@ -10,27 +10,35 @@ condition on w.
 
 from __future__ import annotations
 
+import copy
 import ctypes
+import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from . import diagnostics as _diag
-from .core import (BoundaryData, FlowState, GridSpec, PhysParams, Trajectory,
-                   interpolate_to_nodes)
-from .eos import kappa as kappa_eval
+from .core import (STATE_FIELDS, BoundaryData, FlowState, GridSpec,
+                   PhysParams, Trajectory, interpolate_to_nodes)
+from .eos import kappa as kappa_eval, sq_norm
 
 
 class StepFailure(Exception):
-    """A sub-step produced an inadmissible state; the caller may retry."""
+    """A sub-step produced an inadmissible state; the caller may retry.
 
-    def __init__(self, reason: str, field: str, index: int, t: float):
+    member is the row of the failing state in a lockstep batch, 0 for a
+    single state.
+    """
+
+    def __init__(self, reason: str, field: str, index: int, t: float,
+                 member: int = 0):
         super().__init__(f"{reason} (field={field}, index={index}, t={t:.6g})")
         self.reason = reason
         self.field = field
         self.index = index
         self.t = t
+        self.member = member
 
 
 class RunAborted(Exception):
@@ -173,42 +181,94 @@ def _thomas_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     return np.array(cols).T.reshape(rhs.shape)
 
 
-def _upwind_grad(f: np.ndarray, u: np.ndarray, dx: float) -> np.ndarray:
-    """Upwind one-sided derivative of a node field against velocity u."""
-    bwd = np.empty_like(f)
-    fwd = np.empty_like(f)
-    bwd[1:] = (f[1:] - f[:-1]) / dx
-    bwd[0] = (f[1] - f[0]) / dx
-    fwd[:-1] = (f[1:] - f[:-1]) / dx
-    fwd[-1] = (f[-1] - f[-2]) / dx
+def _solve_blocks(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                  rhs: np.ndarray) -> np.ndarray:
+    """tridiag_solve for one system per member: bands (R, n) and rhs
+    (R, n) or (R, n, m), or one system without the member axis.
+
+    The R systems go to tridiag_solve as one block-diagonal system of
+    R*n unknowns whose couplings across block edges are zero, so each
+    block eliminates exactly as its own solve would, to the bit. A block
+    that is not finite would still spread through those couplings
+    (0 * nan is nan), so when the result is not finite the blocks are
+    solved one by one, and only the blocks at fault keep their nan.
+    """
+    several = diag.size > diag.shape[-1]
+    if several:
+        lower = np.array(lower)
+        lower[..., 0] = 0.0
+        upper = np.array(upper)
+        upper[..., -1] = 0.0
+    x = tridiag_solve(lower.reshape(-1), diag.reshape(-1), upper.reshape(-1),
+                      rhs.reshape((diag.size,) + rhs.shape[diag.ndim:]))
+    if several and not np.isfinite(x).all():
+        return np.stack([tridiag_solve(*block)
+                         for block in zip(lower, diag, upper, rhs)])
+    return x.reshape(rhs.shape)
+
+
+def _upwind_grad(f: np.ndarray, u: np.ndarray, dx: float,
+                 axis: int = 0) -> np.ndarray:
+    """Upwind one-sided derivative of a node field against velocity u,
+    along the node axis of f (axis >= 0, or -1 for the last)."""
+    i = (slice(None),) * (axis % f.ndim)
+    d = (f[i + (slice(1, None),)] - f[i + (slice(None, -1),)]) / dx
+    bwd = np.concatenate((d[i + (slice(None, 1),)], d), axis)
+    fwd = np.concatenate((d, d[i + (slice(-1, None),)]), axis)
     return np.where(u > 0, bwd, fwd)
 
 
-def _central_grad(f: np.ndarray, dx: float) -> np.ndarray:
-    """Central derivative of a node field, one-sided at the walls."""
+def _central_grad(f: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
+    """Central derivative of a node field along its node axis (axis >= 0),
+    one-sided at the walls."""
+    i = (slice(None),) * axis
     g = np.empty_like(f)
-    g[1:-1] = (f[2:] - f[:-2]) / (2 * dx)
-    g[0] = (f[1] - f[0]) / dx
-    g[-1] = (f[-1] - f[-2]) / dx
+    g[i + (slice(1, -1),)] = ((f[i + (slice(2, None),)]
+                               - f[i + (slice(None, -2),)]) / (2 * dx))
+    g[i + (0,)] = (f[i + (1,)] - f[i + (0,)]) / dx
+    g[i + (-1,)] = (f[i + (-1,)] - f[i + (-2,)]) / dx
     return g
+
+
+def _check_positive(x: np.ndarray, reason: str, field: str, t: float):
+    """Raise StepFailure for the first member (row of x) with a value
+    that is not positive; NaN fails too."""
+    if not (x > 0).all():
+        member = int(np.argmin((x > 0).all(axis=-1)))
+        row = x.reshape(-1, x.shape[-1])[member]
+        raise StepFailure(reason, field, int(np.argmin(row)), t, member)
+
+
+def _with_mu(params: PhysParams, mu: np.ndarray) -> PhysParams:
+    """params with mu as an (R, 1) column, one value per member of a
+    lockstep batch, which broadcasts against (R, ·) fields. The values
+    are checked by run_lockstep, so the copy skips PhysParams' scalar
+    check."""
+    out = copy.copy(params)
+    object.__setattr__(out, "mu", np.reshape(mu, (-1, 1)))
+    return out
 
 
 def stable_dt(state: FlowState, grid: GridSpec, params: PhysParams,
               cfg: TimeConfig) -> float:
-    """Acoustic CFL time step from the fast magnetosonic speed estimate."""
+    """Acoustic CFL time step from the fast magnetosonic speed estimate;
+    the smallest over the members of a batch."""
     rho_n = interpolate_to_nodes(state.rho)
     theta_n = interpolate_to_nodes(state.theta)
     c = np.sqrt(params.gamma * theta_n
-                + (state.b * state.b).sum(axis=-1) / rho_n)
+                + sq_norm(state.b) / rho_n)
     speed = np.abs(state.u) + c
-    j = int(np.argmax(speed))
-    dt = cfg.cfl * grid.dx / max(speed[j], 1e-300)
-    if not dt >= cfg.dt_min:        # also rejects a NaN step
+    dt = cfg.cfl * grid.dx / np.maximum(speed.max(axis=-1), 1e-300)
+    ok = dt >= cfg.dt_min           # also rejects a NaN step
+    if not ok.all():
+        member = int(np.argmin(ok))
+        lead = (member,) if speed.ndim > 1 else ()
+        j = int(np.argmax(speed[lead]))
         # name the field that is not finite at node j; u if both are
-        field = ("b" if np.isfinite(state.u[j])
-                 and not np.isfinite(state.b[j]).all() else "u")
-        raise StepFailure("CFL step below dt_min", field, j, state.t)
-    return min(dt, cfg.dt_max)
+        field = ("b" if np.isfinite(state.u[lead + (j,)])
+                 and not np.isfinite(state.b[lead + (j,)]).all() else "u")
+        raise StepFailure("CFL step below dt_min", field, j, state.t, member)
+    return min(float(dt.min()), cfg.dt_max)
 
 
 def advance_density(state: FlowState, grid: GridSpec, dt: float,
@@ -218,22 +278,21 @@ def advance_density(state: FlowState, grid: GridSpec, dt: float,
     u = state.u
     rho = state.rho
     flux = np.zeros_like(u)
-    up = np.where(u[1:-1] > 0, rho[:-1], rho[1:])
-    flux[1:-1] = up * u[1:-1]
+    up = np.where(u[..., 1:-1] > 0, rho[..., :-1], rho[..., 1:])
+    flux[..., 1:-1] = up * u[..., 1:-1]
     rho_new = rho - (dt / dx) * np.diff(flux)
     if forcing is not None and forcing.continuity is not None:
         rho_new = rho_new + dt * forcing.continuity(grid.cell_centers,
                                                     state.t + dt)
-    if not np.all(rho_new > 0):     # NaN fails too
-        idx = int(np.argmin(rho_new))
-        raise StepFailure("density became nonpositive", "rho", idx, state.t)
+    _check_positive(rho_new, "density became nonpositive", "rho", state.t)
     return rho_new
 
 
-def _diffusion_bands(mass: np.ndarray, a: float):
+def _diffusion_bands(mass: np.ndarray, a):
     """Bands of the implicit diffusion matrix at the interior nodes:
-    mass + 2a on the diagonal and -a off it."""
-    lower = np.full(len(mass), -a)
+    mass + 2a on the diagonal and -a off it. a is a scalar or an (R, 1)
+    column, one per member."""
+    lower = np.full(mass.shape, -a)
     return lower, mass + 2 * a, lower.copy()
 
 
@@ -243,17 +302,17 @@ def velocity_system(grid: GridSpec, params: PhysParams, dt: float,
     """Implicit system for the interior longitudinal velocity nodes."""
     dx = grid.dx
     rho_n = interpolate_to_nodes(rho_new)
-    b_c = 0.5 * (b[:-1] + b[1:])
-    ptot = params.gamma * rho_new * theta + 0.5 * (b_c * b_c).sum(axis=-1)
-    grad = (ptot[1:] - ptot[:-1]) / dx          # at interior nodes
-    adv = u * _upwind_grad(u, u, dx)
+    b_c = 0.5 * (b[..., :-1, :] + b[..., 1:, :])
+    ptot = params.gamma * rho_new * theta + 0.5 * sq_norm(b_c)
+    grad = (ptot[..., 1:] - ptot[..., :-1]) / dx    # at interior nodes
+    adv = u * _upwind_grad(u, u, dx, axis=-1)
     rhs = rho_n * u - dt * (rho_n * adv)
-    rhs[1:-1] -= dt * grad
+    rhs[..., 1:-1] -= dt * grad
     if f_u is not None:
         rhs = rhs + dt * f_u
-    lower, diag, upper = _diffusion_bands(rho_n[1:-1],
+    lower, diag, upper = _diffusion_bands(rho_n[..., 1:-1],
                                           params.lam * dt / dx ** 2)
-    return lower, diag, upper, rhs[1:-1]
+    return lower, diag, upper, rhs[..., 1:-1]
 
 
 def advance_velocity(state: FlowState, grid: GridSpec, dt: float,
@@ -264,15 +323,15 @@ def advance_velocity(state: FlowState, grid: GridSpec, dt: float,
         f_u = forcing.momentum(grid.node_positions, state.t + dt)
     lower, diag, upper, rhs = velocity_system(
         grid, params, dt, rho_new, state.u, state.theta, state.b, f_u)
-    u_new = np.zeros(grid.n_cells + 1)
-    u_new[1:-1] = tridiag_solve(lower, diag, upper, rhs)
+    u_new = np.zeros_like(state.u)
+    u_new[..., 1:-1] = _solve_blocks(lower, diag, upper, rhs)
     return u_new
 
 
 def _as_column(x: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """The node field x, shaped to broadcast against like, which is
-    (N+1,) for one component or (N+1, m) for m components."""
-    return x.reshape((-1,) + (1,) * (like.ndim - 1))
+    """The node field x, shaped to broadcast against like, which is x's
+    shape for one component or x's shape plus (m,) for m components."""
+    return x.reshape(x.shape + (1,) * (like.ndim - x.ndim))
 
 
 def transverse_system(grid: GridSpec, params: PhysParams, dt: float,
@@ -285,22 +344,25 @@ def transverse_system(grid: GridSpec, params: PhysParams, dt: float,
     w, b and f_w have shape (N+1,) for one component or (N+1, 2) for
     both; the components share the matrix, and rhs has their shape.
     wl, wr are the Dirichlet values at the end-of-step time, one per
-    component.
+    component. A batch adds a leading member axis to rho_new, u_new, w
+    and b, and params.mu is then an (R, 1) column.
     """
     dx = grid.dx
+    axis = u_new.ndim - 1                       # the node axis
     rho_n = interpolate_to_nodes(rho_new)
     rho_c = _as_column(rho_n, w)
     u = _as_column(u_new, w)
-    adv = u * _upwind_grad(w, u, dx)
-    b_x = _central_grad(b, dx)
+    adv = u * _upwind_grad(w, u, dx, axis)
+    b_x = _central_grad(b, dx, axis)
     rhs = rho_c * w - dt * (rho_c * adv - b_x)
     if f_w is not None:
         rhs = rhs + dt * f_w
     a = params.mu * dt / dx ** 2
-    lower, diag, upper = _diffusion_bands(rho_n[1:-1], a)
-    rhs_i = rhs[1:-1].copy()
-    rhs_i[0] += a * wl
-    rhs_i[-1] += a * wr
+    lower, diag, upper = _diffusion_bands(rho_n[..., 1:-1], a)
+    i = (slice(None),) * axis
+    rhs_i = rhs[i + (slice(1, -1),)].copy()
+    rhs_i[i + (0,)] += a * wl
+    rhs_i[i + (-1,)] += a * wr
     return lower, diag, upper, rhs_i
 
 
@@ -308,47 +370,74 @@ def advance_transverse(state: FlowState, grid: GridSpec, dt: float,
                        params: PhysParams, bdry: BoundaryData,
                        rho_new: np.ndarray, u_new: np.ndarray,
                        forcing: Optional[ForcingSpec] = None) -> np.ndarray:
-    """Transverse velocity update; dispatches on mu > 0 versus mu = 0."""
-    if params.mu == 0.0:
-        return _advance_transverse_limit(state, grid, dt, params,
-                                         rho_new, u_new, forcing)
+    """Transverse velocity update: the hyperbolic limit update where
+    mu = 0, the implicit one where mu > 0, member by member in a batch."""
     t_new = state.t + dt
-    wl = wr = bdry.at(t_new)
     f_w = None
     if forcing is not None and forcing.transverse is not None:
         f_w = forcing.transverse(grid.node_positions, t_new)
-    lower, diag, upper, rhs = transverse_system(
-        grid, params, dt, rho_new, u_new, state.w, state.b, wl, wr, f_w)
+    limit = np.asarray(params.mu == 0.0)    # () alone, (R, 1) in a batch
+    if limit.all():
+        return _advance_transverse_limit(grid, dt, state.rho, state.w,
+                                         state.b, rho_new, u_new, f_w)
+    wall = bdry.at(t_new)
+    if not limit.any():
+        return _advance_transverse_implicit(grid, params, dt, wall, state.w,
+                                            state.b, rho_new, u_new, f_w)
+    lim = limit[:, 0]
+    vis = ~lim
     w_new = np.empty_like(state.w)
-    w_new[1:-1] = tridiag_solve(lower, diag, upper, rhs)
-    w_new[0] = wl
-    w_new[-1] = wr
+    w_new[lim] = _advance_transverse_limit(
+        grid, dt, state.rho[lim], state.w[lim], state.b[lim], rho_new[lim],
+        u_new[lim], f_w)
+    w_new[vis] = _advance_transverse_implicit(
+        grid, _with_mu(params, params.mu[vis]), dt, wall, state.w[vis],
+        state.b[vis], rho_new[vis], u_new[vis], f_w)
     return w_new
 
 
-def _advance_transverse_limit(state: FlowState, grid: GridSpec, dt: float,
-                              params: PhysParams, rho_new: np.ndarray,
-                              u_new: np.ndarray,
-                              forcing: Optional[ForcingSpec]) -> np.ndarray:
+def _advance_transverse_implicit(grid: GridSpec, params: PhysParams,
+                                 dt: float, wall: np.ndarray, w: np.ndarray,
+                                 b: np.ndarray, rho_new: np.ndarray,
+                                 u_new: np.ndarray,
+                                 f_w: Optional[np.ndarray]) -> np.ndarray:
+    """mu > 0: implicit diffusion of w with the wall value at both walls."""
+    lower, diag, upper, rhs = transverse_system(
+        grid, params, dt, rho_new, u_new, w, b, wall, wall, f_w)
+    w_new = np.empty_like(w)
+    w_new[..., 1:-1, :] = _solve_blocks(lower, diag, upper, rhs)
+    w_new[..., 0, :] = wall
+    w_new[..., -1, :] = wall
+    return w_new
+
+
+def _advance_transverse_limit(grid: GridSpec, dt: float, rho: np.ndarray,
+                              w: np.ndarray, b: np.ndarray,
+                              rho_new: np.ndarray, u_new: np.ndarray,
+                              f_w: Optional[np.ndarray]) -> np.ndarray:
     """mu = 0: conservative upwind transport of rho*w with b_x source.
 
     The walls are characteristic (u = 0 there), so no boundary condition
     is imposed on w; the wall nodes evolve on half control volumes.
     """
     dx = grid.dx
-    rho_n_old = interpolate_to_nodes(state.rho)[:, None]
-    rho_n_new = interpolate_to_nodes(rho_new)[:, None]
-    u_c = 0.5 * (u_new[:-1] + u_new[1:])[:, None]
-    m = rho_n_old * state.w
-    m_up = np.where(u_c > 0, m[:-1], m[1:])
+    rho_n_old = interpolate_to_nodes(rho)[..., None]
+    rho_n_new = interpolate_to_nodes(rho_new)[..., None]
+    u_c = 0.5 * (u_new[..., :-1] + u_new[..., 1:])[..., None]
+    m = rho_n_old * w
+    m_up = np.where(u_c > 0, m[..., :-1, :], m[..., 1:, :])
     flux = u_c * m_up                           # at cell centers
-    b_x = _central_grad(state.b, dx)
+    b_x = _central_grad(b, dx, axis=b.ndim - 2)
     m_new = np.empty_like(m)
-    m_new[1:-1] = m[1:-1] - (dt / dx) * np.diff(flux, axis=0) + dt * b_x[1:-1]
-    m_new[0] = m[0] - (dt / (dx / 2)) * flux[0] + dt * b_x[0]
-    m_new[-1] = m[-1] + (dt / (dx / 2)) * flux[-1] + dt * b_x[-1]
-    if forcing is not None and forcing.transverse is not None:
-        m_new += dt * forcing.transverse(grid.node_positions, state.t + dt)
+    m_new[..., 1:-1, :] = (m[..., 1:-1, :]
+                           - (dt / dx) * np.diff(flux, axis=-2)
+                           + dt * b_x[..., 1:-1, :])
+    m_new[..., 0, :] = (m[..., 0, :] - (dt / (dx / 2)) * flux[..., 0, :]
+                        + dt * b_x[..., 0, :])
+    m_new[..., -1, :] = (m[..., -1, :] + (dt / (dx / 2)) * flux[..., -1, :]
+                         + dt * b_x[..., -1, :])
+    if f_w is not None:
+        m_new += dt * f_w
     return m_new / rho_n_new
 
 
@@ -358,16 +447,19 @@ def induction_system(grid: GridSpec, params: PhysParams, dt: float,
     """Implicit system for b at the interior nodes.
 
     w, b and f_b have shape (N+1,) for one component or (N+1, 2) for
-    both; the components share the matrix, and rhs has their shape.
+    both; the components share the matrix, and rhs has their shape. A
+    batch adds a leading member axis to u_new, w and b.
     """
     dx = grid.dx
+    axis = u_new.ndim - 1                       # the node axis
     flux = _as_column(u_new, b) * b - w
-    rhs = b - dt * _central_grad(flux, dx)
+    rhs = b - dt * _central_grad(flux, dx, axis)
     if f_b is not None:
         rhs = rhs + dt * f_b
-    lower, diag, upper = _diffusion_bands(np.ones(grid.n_cells - 1),
-                                          params.nu * dt / dx ** 2)
-    return lower, diag, upper, rhs[1:-1]
+    lower, diag, upper = _diffusion_bands(
+        np.ones(u_new.shape[:-1] + (grid.n_cells - 1,)),
+        params.nu * dt / dx ** 2)
+    return lower, diag, upper, rhs[(slice(None),) * axis + (slice(1, -1),)]
 
 
 def advance_induction(state: FlowState, grid: GridSpec, dt: float,
@@ -380,7 +472,7 @@ def advance_induction(state: FlowState, grid: GridSpec, dt: float,
     lower, diag, upper, rhs = induction_system(
         grid, params, dt, u_new, w_new, state.b, f_b)
     b_new = np.zeros_like(state.b)
-    b_new[1:-1] = tridiag_solve(lower, diag, upper, rhs)
+    b_new[..., 1:-1, :] = _solve_blocks(lower, diag, upper, rhs)
     return b_new
 
 
@@ -397,27 +489,26 @@ def temperature_system(grid: GridSpec, params: PhysParams, dt: float,
     dx = grid.dx
     c_v = params.c_v
     kap = kappa_eval(rho_new, theta, params.kappa_model)
-    kap_face = 0.5 * (kap[:-1] + kap[1:])       # interior faces only
+    kap_face = 0.5 * (kap[..., :-1] + kap[..., 1:])  # interior faces only
     # upwind advection of the old thermal content rho*c_v*theta
     q = rho_old * theta
     flux = np.zeros_like(u_new)
-    q_up = np.where(u_new[1:-1] > 0, q[:-1], q[1:])
-    flux[1:-1] = c_v * q_up * u_new[1:-1]
+    q_up = np.where(u_new[..., 1:-1] > 0, q[..., :-1], q[..., 1:])
+    flux[..., 1:-1] = c_v * q_up * u_new[..., 1:-1]
     u_x = np.diff(u_new) / dx
-    w_x = np.diff(w_new, axis=0) / dx
-    b_x = np.diff(b_new, axis=0) / dx
-    heat = (params.lam * u_x ** 2 + params.mu * (w_x * w_x).sum(axis=-1)
-            + params.nu * (b_x * b_x).sum(axis=-1))
+    w_x = np.diff(w_new, axis=-2) / dx
+    b_x = np.diff(b_new, axis=-2) / dx
+    heat = (params.lam * u_x ** 2 + params.mu * sq_norm(w_x)
+            + params.nu * sq_norm(b_x))
     p = params.gamma * rho_new * theta
     rhs = (c_v * rho_old * theta / dt - np.diff(flux) / dx
            - p * u_x + heat)
     if f_th is not None:
         rhs = rhs + f_th
-    n = grid.n_cells
-    lower = np.zeros(n)
-    upper = np.zeros(n)
-    lower[1:] = -kap_face / dx ** 2
-    upper[:-1] = -kap_face / dx ** 2
+    lower = np.zeros_like(theta)
+    upper = np.zeros_like(theta)
+    lower[..., 1:] = -kap_face / dx ** 2
+    upper[..., :-1] = -kap_face / dx ** 2
     diag = c_v * rho_new / dt - lower - upper
     return lower, diag, upper, rhs
 
@@ -433,11 +524,9 @@ def advance_temperature(state: FlowState, grid: GridSpec, dt: float,
     lower, diag, upper, rhs = temperature_system(
         grid, params, dt, state.rho, rho_new, state.theta,
         u_new, w_new, b_new, f_th)
-    theta_new = tridiag_solve(lower, diag, upper, rhs)
-    if not np.all(theta_new > 0):   # NaN fails too
-        idx = int(np.argmin(theta_new))
-        raise StepFailure("temperature became nonpositive", "theta", idx,
-                          state.t)
+    theta_new = _solve_blocks(lower, diag, upper, rhs)
+    _check_positive(theta_new, "temperature became nonpositive", "theta",
+                    state.t)
     return theta_new
 
 
@@ -445,7 +534,8 @@ def step(state: FlowState, grid: GridSpec, dt: float, params: PhysParams,
          bdry: BoundaryData,
          forcing: Optional[ForcingSpec] = None) -> FlowState:
     """Operator-split step: density, velocity, transverse, induction,
-    temperature, each sub-step seeing the most recent fields."""
+    temperature, each sub-step seeing the most recent fields. A batch
+    state (leading member axis) takes params.mu as an (R, 1) column."""
     rho_new = advance_density(state, grid, dt, forcing)
     u_new = advance_velocity(state, grid, dt, params, rho_new, forcing)
     w_new = advance_transverse(state, grid, dt, params, bdry,
@@ -457,45 +547,134 @@ def step(state: FlowState, grid: GridSpec, dt: float, params: PhysParams,
                      b=b_new, theta=theta_new)
 
 
+def run_lockstep(initial: FlowState, grid: GridSpec, params: PhysParams,
+                 bdry: BoundaryData, cfg: TimeConfig,
+                 mu_values: Sequence[float],
+                 forcing: Optional[ForcingSpec] = None
+                 ) -> List[Union[Trajectory, RunAborted]]:
+    """Integrate one member per mu value from the same initial state, all
+    on one time grid, to t_end.
+
+    The members are the rows of one batch state, and each step is one
+    step() over the batch. Its dt is the smallest CFL step over the
+    live members, at most dt_max. A StepFailure in any member halves
+    dt for all; a member that still fails at dt_min, or whose CFL step
+    falls below dt_min, leaves with its RunAborted, and the others redo
+    the step without it. Snapshots are stored every snapshot_stride
+    accepted steps plus the final state; the diagnostics table has one
+    row for the initial state and one for every accepted step.
+
+    Returns per member its Trajectory, or the RunAborted that ended it.
+    """
+    mu = np.array(mu_values, dtype=float)
+    if mu.ndim != 1 or not np.all(mu >= 0):     # NaN fails too
+        raise ValueError("mu_values must be nonnegative")
+    t_end = cfg.t_end
+    members = list(range(len(mu)))      # the member in each batch row
+    state = FlowState(t=initial.t, **{
+        name: np.broadcast_to(getattr(initial, name),
+                              (len(mu),) + getattr(initial, name).shape)
+        for name in STATE_FIELDS})
+    batch = _with_mu(params, mu)
+    outcome: list = [None] * len(mu)
+    times = [state.t]
+
+    def rows_left(dt):
+        """Diagnostics rows and snapshots from state on, this one
+        included, if every step takes dt."""
+        steps = max(math.ceil((t_end - state.t) / dt), 0)
+        return 1 + steps, 1 + math.ceil(steps / cfg.snapshot_stride)
+
+    # per member: its own snapshot fields and diagnostics, copied out of
+    # the batch rows, so that no member's trajectory holds another's
+    n_diags, n_snaps = rows_left(cfg.dt_max)
+    fields = [{name: _Rows(getattr(state, name)[m], n_snaps)
+               for name in STATE_FIELDS} for m in members]
+    diags = [_Rows(row, n_diags)
+             for row in _diag.record(state, grid, batch)]
+    k = 0
+    eps = 1e-12 * max(t_end, 1.0)
+    while members and state.t < t_end - eps:
+        try:
+            dt = min(stable_dt(state, grid, batch, cfg), t_end - state.t)
+            while True:
+                try:
+                    new_state = step(state, grid, dt, batch, bdry, forcing)
+                    break
+                except StepFailure:
+                    dt *= 0.5
+                    if dt < cfg.dt_min:
+                        raise
+        except StepFailure as exc:
+            m = members.pop(exc.member)
+            outcome[m] = RunAborted({"t": state.t, "reason": exc.reason,
+                                     "field": exc.field, "index": exc.index})
+            outcome[m].__cause__ = exc
+            fields[m] = diags[m] = None
+            keep = np.arange(len(members) + 1) != exc.member
+            state = FlowState(t=state.t, **{
+                name: getattr(state, name)[keep] for name in STATE_FIELDS})
+            batch = _with_mu(params, batch.mu[keep])
+            continue
+        state = new_state
+        k += 1
+        n_diags, n_snaps = rows_left(dt)
+        for m, row in zip(members, _diag.record(state, grid, batch)):
+            diags[m].append(row, n_diags)
+        if k % cfg.snapshot_stride == 0 or state.t >= t_end - eps:
+            times.append(state.t)
+            for i, m in enumerate(members):
+                for name in STATE_FIELDS:
+                    fields[m][name].append(getattr(state, name)[i], n_snaps)
+    for m in members:
+        outcome[m] = Trajectory.from_arrays(
+            times, {name: rows.array() for name, rows in fields[m].items()},
+            diags[m].array())
+        fields[m] = diags[m] = None
+    return outcome
+
+
+class _Rows:
+    """An array filled one row at a time.
+
+    It is allocated for a forecast number of rows and regrown by the
+    forecast of the rows left, this one included, when that runs out.
+    When the forecast holds, as it does whenever dt_max sets every step,
+    the array itself is the result: each row is copied once, into memory
+    of its own member, and the heap is not left holding a freed copy of
+    every snapshot.
+    """
+
+    def __init__(self, first: np.ndarray, size: int):
+        self.data = np.empty((size,) + first.shape, first.dtype)
+        self.data[0] = first
+        self.n = 1
+
+    def append(self, row: np.ndarray, rows_left: int):
+        if self.n == len(self.data):
+            grown = np.empty((self.n + rows_left,) + self.data.shape[1:],
+                             self.data.dtype)
+            grown[:self.n] = self.data
+            self.data = grown
+        self.data[self.n] = row
+        self.n += 1
+
+    def array(self) -> np.ndarray:
+        if self.n == len(self.data):
+            return self.data
+        return self.data[:self.n].copy()
+
+
 def run(initial: FlowState, grid: GridSpec, params: PhysParams,
         bdry: BoundaryData, cfg: TimeConfig,
         forcing: Optional[ForcingSpec] = None) -> Trajectory:
-    """Integrate to t_end with CFL-controlled steps and dt-halving retry.
-
-    Snapshots are stored every snapshot_stride accepted steps plus the
-    final state; the diagnostics table has one row for the initial state
-    and one for every accepted step.
-    """
-    t_end = cfg.t_end
-    state = initial
-    snapshots = [state]
-    diags = [_diag.record(state, grid, params)]
-    k = 0
-    eps = 1e-12 * max(t_end, 1.0)
-    while state.t < t_end - eps:
-        try:
-            dt = stable_dt(state, grid, params, cfg)
-        except StepFailure as exc:
-            raise RunAborted({"t": state.t, "reason": exc.reason,
-                              "field": exc.field, "index": exc.index}) \
-                from exc
-        dt = min(dt, t_end - state.t)
-        while True:
-            try:
-                new_state = step(state, grid, dt, params, bdry, forcing)
-                break
-            except StepFailure as exc:
-                dt *= 0.5
-                if dt < cfg.dt_min:
-                    raise RunAborted({"t": state.t, "reason": exc.reason,
-                                      "field": exc.field,
-                                      "index": exc.index}) from exc
-        state = new_state
-        k += 1
-        diags.append(_diag.record(state, grid, params))
-        if k % cfg.snapshot_stride == 0 or state.t >= t_end - eps:
-            snapshots.append(state)
-    return Trajectory(snapshots, np.array(diags, _diag.DIAGNOSTICS_DTYPE))
+    """Integrate to t_end with CFL-controlled steps and dt-halving retry:
+    the one-member case of run_lockstep, which raises its RunAborted."""
+    (out,) = run_lockstep(initial, grid, params, bdry, cfg, (params.mu,),
+                          forcing)
+    if isinstance(out, RunAborted):
+        raise out
+    return out
 
 
 def run_limit(initial: FlowState, grid: GridSpec, params: PhysParams,

@@ -3,7 +3,7 @@ thickness estimation against the mu = 0 reference run."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -11,7 +11,7 @@ import numpy as np
 from .core import BoundaryData, FlowState, GridSpec, PhysParams, Trajectory
 from .diagnostics import (ErrorNorms, deviation_profile, error_norms,
                           interior_sup, interior_w_grad)
-from .solver import RunAborted, TimeConfig, run, run_limit
+from .solver import RunAborted, TimeConfig, run_lockstep
 
 DEFAULT_INTERIOR_DELTAS = (0.05, 0.1, 0.2)
 BL_DELTA_CEILING = 0.25
@@ -71,7 +71,7 @@ class SweepPlan:
 
     mu_values: Tuple[float, ...]
     grid: GridSpec
-    params: PhysParams            # mu field is replaced per run
+    params: PhysParams            # mu is set per member
     bdry: BoundaryData
     time: TimeConfig
     initial: FlowState
@@ -84,6 +84,12 @@ class SweepPlan:
             raise ValueError("mu_values must be strictly positive")
         if not np.all(np.diff(mu) < 0):
             raise ValueError("mu_values must be strictly decreasing")
+        # checked before any run: bl_thickness and interior_w_grad would
+        # reject them only after the whole sweep is integrated
+        if not self.bl_tol > 0:         # NaN fails too
+            raise ValueError("bl_tol must be positive")
+        if not all(0 < d < 0.5 for d in self.interior_deltas):
+            raise ValueError("interior_deltas must lie in (0, 1/2)")
 
 
 @dataclass(frozen=True)
@@ -144,10 +150,13 @@ def _rate_fit_with_exclusion(points: List[Tuple[float, float]]
 
 
 def run_sweep(plan: SweepPlan) -> SweepResult:
-    """Run the mu = 0 reference once, then each mu value against it."""
-    params0 = replace(plan.params, mu=0.0)
-    reference = run_limit(plan.initial, plan.grid, params0, plan.bdry,
-                          plan.time)
+    """Run the mu = 0 reference and every mu value in lockstep, then
+    compare each mu run with the reference."""
+    reference, *runs = run_lockstep(plan.initial, plan.grid, plan.params,
+                                    plan.bdry, plan.time,
+                                    (0.0,) + tuple(plan.mu_values))
+    if isinstance(reference, RunAborted):
+        raise reference
     errors: List[Optional[ErrorNorms]] = []
     deltas: List[Optional[float]] = []
     saturated: List[Optional[bool]] = []
@@ -155,18 +164,14 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     summaries: List[Optional[RunSummary]] = []
     failures: List[Optional[dict]] = []
     interior: dict = {d: [] for d in plan.interior_deltas}
-    for mu in plan.mu_values:
-        params_mu = replace(plan.params, mu=float(mu))
-        try:
-            traj = run(plan.initial, plan.grid, params_mu, plan.bdry,
-                       plan.time)
-        except RunAborted as exc:
+    for mu, traj in zip(plan.mu_values, runs):
+        if isinstance(traj, RunAborted):
             errors.append(None)
             deltas.append(None)
             saturated.append(None)
             scaled.append(None)
             summaries.append(None)
-            failures.append(exc.report)
+            failures.append(traj.report)
             for d in plan.interior_deltas:
                 interior[d].append(None)
             continue

@@ -132,6 +132,37 @@ class TestFlowState:
             FlowState(t=0.0, **fields)
 
 
+    def test_member_axis(self):
+        """A leading member axis stacks the states of a batch; the checks
+        hold per member and name the member and the index."""
+        one = _arrays(8)
+        fields = {k: np.stack([v] * 3) for k, v in one.items()}
+        s = FlowState(t=0.0, **fields)
+        assert s.n_cells == 8 and s.w.shape == (3, 9, 2)
+        assert s.rho.flags.c_contiguous
+        fields["theta"] = fields["theta"].copy()
+        fields["theta"][2, 5] = 0.0
+        with pytest.raises(InvalidStateError, match=r"theta\[2, 5\]"):
+            FlowState(t=0.0, **fields)
+        fields = {k: np.stack([v] * 3) for k, v in one.items()}
+        fields["u"][1, -1] = 0.1
+        with pytest.raises(InvalidStateError, match="u must vanish"):
+            FlowState(t=0.0, **fields)
+        fields = {k: np.stack([v] * 3) for k, v in one.items()}
+        fields["w"] = fields["w"][:2]
+        with pytest.raises(InvalidStateError, match="w and b"):
+            FlowState(t=0.0, **fields)
+
+    def test_broadcast_input_stored_row_major(self):
+        """A broadcast batch is stored with contiguous member rows, so
+        the rows' reductions round as those of one state."""
+        one = _arrays(8)
+        s = FlowState(t=0.0, **{k: np.broadcast_to(v, (3,) + v.shape)
+                                for k, v in one.items()})
+        for name in ("rho", "u", "w", "b", "theta"):
+            assert getattr(s, name).flags.c_contiguous, name
+
+
 class TestInterpolateToNodes:
     def test_constant(self):
         np.testing.assert_array_equal(interpolate_to_nodes(np.full(5, 3.0)),

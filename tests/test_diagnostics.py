@@ -9,7 +9,7 @@ from planemhd.diagnostics import (DIAGNOSTICS_DTYPE, WEIGHT_ORDERS,
                                   interior_sup_deviation, interior_w_grad,
                                   record, total_energy, weight_omega,
                                   weight_omega_delta)
-from planemhd.solver import TimeConfig, run
+from planemhd.solver import TimeConfig, _with_mu, run
 
 
 class TestWeights:
@@ -122,6 +122,22 @@ class TestRecord:
             for n in WEIGHT_ORDERS:
                 assert rec[f"weighted_w_grad_{n}"] \
                     == (om ** n * wg2).sum() * grid.dx, n
+
+
+    def test_batch_rows_match_single_states(self):
+        """record over a batch gives, row by row, the record of each
+        state, to the bit; each member takes its own mu."""
+        grid = GridSpec(64)
+        states = _random_states(grid, (0.0, 0.0, 0.0), seed=4)
+        batch = FlowState(t=0.0, **{name: np.stack(
+            [getattr(s, name) for s in states])
+            for name in ("rho", "u", "w", "b", "theta")})
+        mu = np.array([0.0, 1e-2, 1e-3])
+        rows = record(batch, grid, _with_mu(PhysParams(), mu))
+        assert rows.shape == (3,) and rows.dtype == DIAGNOSTICS_DTYPE
+        for row, state, m in zip(rows, states, mu):
+            one = record(state, grid, PhysParams(mu=m))
+            assert np.array_equal(np.array(row), np.array(one))
 
 
 class TestTotalEnergy:

@@ -8,11 +8,12 @@ from planemhd.core import (BoundaryData, FlowState, GridSpec, PhysParams,
 from planemhd import solver
 from planemhd.core import interpolate_to_nodes
 from planemhd.solver import (ForcingSpec, RunAborted, StepFailure,
-                             TimeConfig, _central_grad, _thomas_solve,
-                             advance_density,
+                             TimeConfig, _central_grad, _solve_blocks,
+                             _thomas_solve, advance_density,
                              advance_induction, advance_transverse,
-                             induction_system, run, run_limit, stable_dt,
-                             step, transverse_system, tridiag_solve)
+                             induction_system, run, run_limit, run_lockstep,
+                             stable_dt, step, transverse_system,
+                             tridiag_solve)
 
 # tridiag_solve (LAPACK dgtsv where numpy's OpenBLAS exports it) and its
 # Python fallback share one contract, which the tests below check on both
@@ -122,6 +123,59 @@ class TestTridiag:
                 with pytest.raises(ZeroDivisionError):
                     solve(np.array([0.0, 1.0]), np.ones(2),
                           np.array([1.0, 0.0]), np.ones((2,) + cols))
+
+
+    @given(st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=40), st.integers(0, 2 ** 31),
+           st.sampled_from([(), (2,)]))
+    @settings(max_examples=60, deadline=None)
+    def test_block_diagonal_matches_per_block(self, blocks, n, seed, cols):
+        """R systems stacked into one block-diagonal system, with zero
+        couplings across the block edges, solve bit for bit as R calls,
+        on both paths; _solve_blocks builds that system from (R, n)
+        bands whose edge entries it ignores."""
+        rng = np.random.default_rng(seed)
+        lower = rng.normal(size=(blocks, n))
+        upper = rng.normal(size=(blocks, n))
+        diag = 3.0 + np.abs(lower) + np.abs(upper) + rng.random((blocks, n))
+        rhs = rng.normal(size=(blocks, n) + cols)
+        edged_lower, edged_upper = lower.copy(), upper.copy()
+        lower[:, 0] = 0.0
+        upper[:, -1] = 0.0
+        for solve in SOLVERS:
+            x = solve(lower.ravel(), diag.ravel(), upper.ravel(),
+                      rhs.reshape((blocks * n,) + cols))
+            for r in range(blocks):
+                assert np.array_equal(x[r * n:(r + 1) * n],
+                                      solve(lower[r], diag[r], upper[r],
+                                            rhs[r]))
+        x = _solve_blocks(edged_lower, diag, edged_upper, rhs)
+        assert x.shape == rhs.shape
+        for r in range(blocks):
+            assert np.array_equal(
+                x[r], tridiag_solve(lower[r], diag[r], upper[r], rhs[r]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("band", ["lower", "diag", "upper", "rhs"])
+    def test_nonfinite_block_stays_in_its_block(self, bad, band):
+        """Each block, the one that is not finite too, is what its own
+        call gives; through the zeroed couplings 0 * nan would otherwise
+        reach every block."""
+        rng = np.random.default_rng(2)
+        blocks, n = 5, 31
+        sys = {"lower": rng.normal(size=(blocks, n)),
+               "upper": rng.normal(size=(blocks, n)),
+               "rhs": rng.normal(size=(blocks, n, 2))}
+        sys["diag"] = (3.0 + np.abs(sys["lower"]) + np.abs(sys["upper"])
+                       + rng.random((blocks, n)))
+        sys[band][2, 10] = bad
+        x = _solve_blocks(sys["lower"], sys["diag"], sys["upper"],
+                          sys["rhs"])
+        for r in range(blocks):
+            assert np.array_equal(x[r], tridiag_solve(
+                sys["lower"][r], sys["diag"][r], sys["upper"][r],
+                sys["rhs"][r]), equal_nan=True)
+        assert np.isfinite(np.delete(x, 2, axis=0)).all()
 
 
 class TestTimeConfig:
@@ -451,3 +505,112 @@ class TestLimitSystem:
                     m_new += dt * forcing.transverse(grid.node_positions,
                                                      dt)[:, k]
                 np.testing.assert_array_equal(got[:, k], m_new / rho_n_new)
+
+
+def _lockstep_scenario(n_cells=32):
+    grid = GridSpec(n_cells)
+    bdry = BoundaryData.cosine_ramp(1.0, 0.02)
+    initial = make_initial_state(grid, "transverse-rest", bdry)
+    # dt_max = 5e-4 sets every step: the CFL step is about 1e-2 here
+    cfg = TimeConfig(t_end=0.03, dt_max=5e-4, snapshot_stride=4)
+    return initial, grid, PhysParams(), bdry, cfg
+
+
+MEMBERS = (0.0, 1e-2, 1e-3, 1e-4)
+
+
+def _assert_same_run(a, b):
+    for name in ("snapshot_times", "rho", "u", "w", "b", "theta"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.diagnostics.dtype == b.diagnostics.dtype
+    assert np.array_equal(a.diagnostics, b.diagnostics)
+
+
+class TestLockstep:
+    def test_members_match_solo_runs(self):
+        """With dt_max setting every step, each member is bit for bit the
+        run of its own mu, the mu = 0 member the limit system."""
+        initial, grid, params, bdry, cfg = _lockstep_scenario()
+        outs = run_lockstep(initial, grid, params, bdry, cfg, MEMBERS)
+        for mu, traj in zip(MEMBERS, outs):
+            _assert_same_run(traj, run(initial, grid,
+                                       replace(params, mu=mu), bdry, cfg))
+
+    def test_members_own_their_arrays(self):
+        """No member's trajectory is a view of memory that holds another
+        member's data, so keeping one keeps no other alive."""
+        outs = run_lockstep(*_lockstep_scenario(), MEMBERS)
+        for traj in outs:
+            for name in ("rho", "u", "w", "b", "theta"):
+                assert getattr(traj, name).base is None, name
+                assert not getattr(traj, name).flags.writeable
+
+    def test_nonfinite_member_leaves_alone(self, monkeypatch):
+        """A member whose w turns to nan mid-run leaves with its own
+        RunAborted, and the others are bit for bit what they are
+        without it."""
+        initial, grid, params, bdry, cfg = _lockstep_scenario()
+        clean = run_lockstep(initial, grid, params, bdry, cfg, MEMBERS)
+        real = solver.advance_transverse
+
+        def poisoned(state, grid, dt, params, *args):
+            w_new = real(state, grid, dt, params, *args)
+            if state.t >= 0.01:
+                w_new[np.ravel(params.mu == 1e-3), 7] = np.nan
+            return w_new
+
+        monkeypatch.setattr(solver, "advance_transverse", poisoned)
+        outs = run_lockstep(initial, grid, params, bdry, cfg, MEMBERS)
+        failed = outs[2]
+        assert isinstance(failed, RunAborted)
+        assert failed.report["t"] == pytest.approx(0.01)
+        assert failed.report["field"] == "theta"
+        for i in (0, 1, 3):
+            _assert_same_run(outs[i], clean[i])
+
+    def test_failure_halves_dt_for_all(self, monkeypatch):
+        """A StepFailure of one member rejects the step of all: every
+        member takes the halved step."""
+        initial, grid, params, bdry, cfg = _lockstep_scenario()
+        real_step = solver.step
+        attempts = []
+
+        def step_rejecting_second(state, *args):
+            attempts.append(state.t)
+            if len(attempts) == 2:
+                raise StepFailure("test rejection", "u", 0, state.t, 1)
+            return real_step(state, *args)
+
+        monkeypatch.setattr(solver, "step", step_rejecting_second)
+        outs = run_lockstep(initial, grid, params, bdry, cfg, MEMBERS)
+        for traj in outs:
+            t = traj.diagnostics["t"]
+            assert t[2] - t[1] == pytest.approx(0.5 * cfg.dt_max)
+
+    def test_member_below_dt_min_leaves(self, monkeypatch):
+        """A member that fails down to dt_min leaves with the report of
+        its last failure; the others redo the step without it."""
+        initial, grid, params, bdry, cfg = _lockstep_scenario()
+        real_step = solver.step
+
+        def step_failing_mu(state, grid, dt, params, *args):
+            mu = np.ravel(params.mu)
+            if state.t >= 0.02 and 1e-2 in mu:
+                raise StepFailure("test rejection", "u", 3, state.t,
+                                  int(np.flatnonzero(mu == 1e-2)[0]))
+            return real_step(state, grid, dt, params, *args)
+
+        monkeypatch.setattr(solver, "step", step_failing_mu)
+        outs = run_lockstep(initial, grid, params, bdry, cfg, MEMBERS)
+        assert isinstance(outs[1], RunAborted)
+        assert outs[1].report == {"t": pytest.approx(0.02),
+                                  "reason": "test rejection", "field": "u",
+                                  "index": 3}
+        monkeypatch.undo()
+        for i in (0, 2, 3):
+            _assert_same_run(outs[i], run(initial, grid, replace(
+                params, mu=MEMBERS[i]), bdry, cfg))
+
+    def test_rejects_negative_mu(self):
+        with pytest.raises(ValueError):
+            run_lockstep(*_lockstep_scenario(), (1e-2, -1e-3))

@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from planemhd.core import (BoundaryData, FlowState, GridSpec, PhysParams,
                            Trajectory, make_initial_state)
 from planemhd.diagnostics import ErrorNorms, interior_sup_deviation
-from planemhd.solver import TimeConfig
+from planemhd.solver import TimeConfig, run, run_lockstep
 from planemhd.sweep import (BL_DELTA_CEILING, BLThickness, SweepPlan,
                             SweepResult, _rate_fit_with_exclusion,
                             _upper_hull, bl_thickness, fit_power_law,
@@ -201,6 +202,16 @@ class TestSweepPlan:
                                           getattr(plan.initial, name))
         assert run_sweep(copy).errors == run_sweep(plan).errors
 
+    @pytest.mark.parametrize("kwargs", [
+        {"bl_tol": np.nan}, {"bl_tol": -1.0}, {"bl_tol": 0.0},
+        {"interior_deltas": (0.7,)}, {"interior_deltas": (0.1, 0.5)},
+        {"interior_deltas": (0.0,)}, {"interior_deltas": (np.nan,)}])
+    def test_rejects_bad_thickness_settings(self, kwargs):
+        """bl_tol and interior_deltas are checked before any run, not by
+        bl_thickness and interior_w_grad after the whole sweep."""
+        with pytest.raises(ValueError):
+            replace(self._plan((1e-2, 1e-3, 1e-4)), **kwargs)
+
     def test_rejects_nondecreasing(self):
         with pytest.raises(ValueError):
             self._plan((1e-3, 1e-2))
@@ -268,3 +279,31 @@ class TestRunSweep:
         assert len(result.interior_w_grads[0.1]) == 3
         # the mu = 0 reference keeps the transverse fields at rest
         assert np.all(result.reference.w == 0.0)
+
+    def test_cfl_bound_sweep_completes(self):
+        """Where the CFL limit sets dt, it depends on |b| and so on mu:
+        solo runs take different steps, and the sweep members still
+        share the reference's snapshot times."""
+        grid = GridSpec(64)
+        bdry = BoundaryData.cosine_ramp(1.0, 0.25)
+        plan = SweepPlan(
+            mu_values=(1e-2, 1e-3), grid=grid, params=PhysParams(),
+            bdry=bdry, time=TimeConfig(t_end=0.1),
+            initial=make_initial_state(grid, "transverse-rest", bdry))
+        solo = run(plan.initial, grid, replace(plan.params, mu=1e-3), bdry,
+                   plan.time)
+        limit = run(plan.initial, grid, replace(plan.params, mu=0.0), bdry,
+                    plan.time)
+        assert np.diff(limit.diagnostics["t"]).max() < plan.time.dt_max
+        assert not np.array_equal(solo.snapshot_times, limit.snapshot_times)
+        result = run_sweep(plan)
+        assert result.failures == [None, None]
+        assert all(e is not None for e in result.errors)
+        reference, *members = run_lockstep(
+            plan.initial, grid, plan.params, bdry, plan.time,
+            (0.0,) + plan.mu_values)
+        np.testing.assert_array_equal(reference.snapshot_times,
+                                      result.reference.snapshot_times)
+        for traj in members:
+            np.testing.assert_array_equal(traj.snapshot_times,
+                                          reference.snapshot_times)
