@@ -154,6 +154,50 @@ def _check_matched(traj: Trajectory, reference: Trajectory):
         raise ValueError("trajectories have mismatched snapshot times")
 
 
+def sq_errors(a, b, grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """Squared L2(Omega) norms of the difference of two sets of fields,
+    over any leading axes of their arrays (which broadcast).
+
+    a and b are FlowStates or Trajectories, or anything with their field
+    attributes. Returns state_sq, the summed squared norms of the five
+    field differences, and grad_sq, those of the differences of u_x, b_x
+    and theta_x, each of the leading shape.
+    """
+    dx = grid.dx
+    node_w = np.full(grid.n_cells + 1, dx)
+    node_w[0] = node_w[-1] = dx / 2
+
+    def diff(name):
+        # one field difference at a time: temporaries hold a single field
+        return getattr(a, name) - getattr(b, name)
+
+    def grad_sq(name, axis):
+        # axis is the node axis, counted from the end: one row sum takes
+        # the nodes and components of one state
+        g = (np.diff(diff(name), axis=axis) / dx) ** 2
+        lead = g.shape[:g.ndim + axis]
+        return g.reshape(lead + (-1,)).sum(axis=-1) * dx
+
+    state_sq = ((diff("rho") ** 2).sum(axis=-1) * dx
+                + (diff("theta") ** 2).sum(axis=-1) * dx
+                + (diff("u") ** 2 * node_w).sum(axis=-1)
+                + ((diff("w") ** 2).sum(axis=-1) * node_w).sum(axis=-1)
+                + ((diff("b") ** 2).sum(axis=-1) * node_w).sum(axis=-1))
+    return state_sq, grad_sq("u", -1) + grad_sq("b", -2) + grad_sq("theta", -1)
+
+
+def norms_over_time(state_sq: np.ndarray, grad_sq: np.ndarray,
+                    times: np.ndarray) -> ErrorNorms:
+    """ErrorNorms from the per-snapshot sq_errors at the snapshot times:
+    the max of the state norm, the trapezoid integral of the gradient
+    norm."""
+    state_error = float(np.sqrt(np.max(state_sq)))
+    gradient_error = float(np.sqrt(np.trapezoid(grad_sq, times)))
+    return ErrorNorms(state_error=state_error,
+                      gradient_error=gradient_error,
+                      combined=state_error + gradient_error)
+
+
 def error_norms(traj: Trajectory, reference: Trajectory,
                 grid: GridSpec) -> ErrorNorms:
     """L-infinity-in-time state error plus L2-in-time gradient error.
@@ -163,44 +207,30 @@ def error_norms(traj: Trajectory, reference: Trajectory,
     theta_x over time.
     """
     _check_matched(traj, reference)
-    dx = grid.dx
-    node_w = np.full(grid.n_cells + 1, dx)
-    node_w[0] = node_w[-1] = dx / 2
-    n_snap = len(traj.snapshot_times)
+    return norms_over_time(*sq_errors(traj, reference, grid),
+                           traj.snapshot_times)
 
-    def diff(name):
-        # one field difference at a time: temporaries hold a single field
-        return getattr(traj, name) - getattr(reference, name)
 
-    state_sq = ((diff("rho") ** 2).sum(axis=-1) * dx
-                + (diff("theta") ** 2).sum(axis=-1) * dx
-                + (diff("u") ** 2 * node_w).sum(axis=-1)
-                + ((diff("w") ** 2).sum(axis=-1) * node_w).sum(axis=-1)
-                + ((diff("b") ** 2).sum(axis=-1) * node_w).sum(axis=-1))
-    grad_sq = sum(((np.diff(diff(name), axis=1) / dx) ** 2)
-                  .reshape(n_snap, -1).sum(axis=-1) * dx
-                  for name in ("u", "b", "theta"))
-    state_error = float(np.sqrt(state_sq.max()))
-    gradient_error = float(np.sqrt(
-        np.trapezoid(grad_sq, traj.snapshot_times)))
-    return ErrorNorms(state_error=state_error,
-                      gradient_error=gradient_error,
-                      combined=state_error + gradient_error)
+def deviation(a, b) -> Tuple[np.ndarray, np.ndarray]:
+    """Pointwise max over the fields of |a - b|, over any leading axes.
+
+    Returns the cell-center deviation (rho, theta) and the node deviation
+    (u and both components of w and b).
+    """
+    cell = np.abs(a.rho - b.rho)
+    np.maximum(cell, np.abs(a.theta - b.theta), out=cell)
+    node = np.abs(a.u - b.u)
+    np.maximum(node, np.abs(a.w - b.w).max(axis=-1), out=node)
+    np.maximum(node, np.abs(a.b - b.b).max(axis=-1), out=node)
+    return cell, node
 
 
 def deviation_profile(traj: Trajectory, reference: Trajectory
                       ) -> Tuple[np.ndarray, np.ndarray]:
-    """Pointwise max over time and fields of |traj - reference|.
-
-    Returns the cell-center profile (rho, theta) and the node profile
-    (u and both components of w and b).
-    """
+    """Pointwise max over time and fields of |traj - reference|: the
+    time max of deviation, as a (cell, node) profile."""
     _check_matched(traj, reference)
-    cell = np.abs(traj.rho - reference.rho)
-    np.maximum(cell, np.abs(traj.theta - reference.theta), out=cell)
-    node = np.abs(traj.u - reference.u)
-    np.maximum(node, np.abs(traj.w - reference.w).max(axis=-1), out=node)
-    np.maximum(node, np.abs(traj.b - reference.b).max(axis=-1), out=node)
+    cell, node = deviation(traj, reference)
     return cell.max(axis=0), node.max(axis=0)
 
 
@@ -228,14 +258,21 @@ def interior_sup_deviation(traj: Trajectory, reference: Trajectory,
     return interior_sup(deviation_profile(traj, reference), delta, grid)
 
 
-def interior_w_grad(traj: Trajectory, delta: float, grid: GridSpec) -> float:
-    """max over time of the squared L2 norm of w_x over (delta, 1-delta)."""
+def interior_w_sq(w: np.ndarray, delta: float,
+                  grid: GridSpec) -> np.ndarray:
+    """Squared L2 norm of w_x over (delta, 1-delta), over any leading
+    axes of the node field w (..., N+1, 2)."""
     if not 0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
     xc = grid.cell_centers
     mask = (xc > delta) & (xc < 1.0 - delta)
-    w_x = np.diff(traj.w, axis=1) / grid.dx
-    # compress keeps each snapshot's row contiguous, so the row sums
-    # round as the sum over one snapshot does (w[:, mask] would not)
-    inside = np.compress(mask, (w_x * w_x).sum(axis=-1), axis=1)
-    return float(inside.sum(axis=-1).max() * grid.dx)
+    w_x = np.diff(w, axis=-2) / grid.dx
+    # compress keeps each row contiguous, so the row sums round as the
+    # sum over one state does (w_x[..., mask, :] would not)
+    inside = np.compress(mask, (w_x * w_x).sum(axis=-1), axis=-1)
+    return inside.sum(axis=-1) * grid.dx
+
+
+def interior_w_grad(traj: Trajectory, delta: float, grid: GridSpec) -> float:
+    """max over time of the squared L2 norm of w_x over (delta, 1-delta)."""
+    return float(interior_w_sq(traj.w, delta, grid).max())

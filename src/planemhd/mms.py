@@ -1,9 +1,13 @@
 """Manufactured smooth solutions with compensating source terms.
 
-The manufactured fields keep u identically zero and are compatible with
-the homogeneous wall conditions (u = b = 0, theta_x = 0, w matching the
-zero boundary preset), so the discretization error of every remaining
-term is exercised at its formal order.
+The manufactured fields are compatible with the homogeneous wall
+conditions (u = b = 0, theta_x = 0, w matching the zero boundary
+preset). The sources are derived for the equations as the scheme
+discretises them, with the momentum and transverse updates in the
+non-conservative form rho (u_t + u u_x). manufactured_steady and
+manufactured_transient keep u identically zero, which exercises every
+other term at its formal order; manufactured_advecting adds a nonzero
+u, so the advection terms and the continuity source enter too.
 """
 
 from __future__ import annotations
@@ -78,11 +82,13 @@ def _build(params: PhysParams, rho, u, w1, w2, b1, b2,
             + mu * (sp.diff(w1, _x) ** 2 + sp.diff(w2, _x) ** 2)
             + nu * (sp.diff(b1, _x) ** 2 + sp.diff(b2, _x) ** 2))
     f_rho = sp.diff(rho, _t) + sp.diff(rho * u, _x)
+    # the scheme advances rho (u_t + u u_x), which is the conservative
+    # (rho u)_t + (rho u^2)_x less u times the continuity residual f_rho
     f_u = (sp.diff(rho * u, _t)
            + sp.diff(rho * u ** 2 + p + bsq / 2, _x)
-           - lam * sp.diff(u, _x, 2))
+           - lam * sp.diff(u, _x, 2) - u * f_rho)
     f_w = [sp.diff(rho * wk, _t) + sp.diff(rho * u * wk - bk, _x)
-           - mu * sp.diff(wk, _x, 2)
+           - mu * sp.diff(wk, _x, 2) - wk * f_rho
            for wk, bk in ((w1, b1), (w2, b2))]
     f_b = [sp.diff(bk, _t) + sp.diff(u * bk - wk, _x)
            - nu * sp.diff(bk, _x, 2)
@@ -105,18 +111,29 @@ def _build(params: PhysParams, rho, u, w1, w2, b1, b2,
         theta=_lambdify(theta), forcing=forcing)
 
 
-def manufactured_steady(params: PhysParams) -> ManufacturedSolution:
-    """Time-independent fields; time discretization error vanishes, so a
-    refinement sweep isolates the spatial order."""
+def _steady_fields(u) -> tuple:
+    """The steady (rho, u, w1, w2, b1, b2, theta) with the given u."""
     pi = sp.pi
     rho = 1 + sp.Rational(3, 10) * sp.cos(2 * pi * _x)
-    u = sp.Integer(0)
     w1 = sp.Rational(1, 2) * sp.sin(pi * _x)
     w2 = -sp.Rational(3, 10) * sp.sin(2 * pi * _x)
     b1 = sp.Rational(2, 5) * sp.sin(pi * _x)
     b2 = sp.Rational(1, 5) * sp.sin(2 * pi * _x)
     theta = 1 + sp.Rational(1, 5) * sp.cos(pi * _x)
-    return _build(params, rho, u, w1, w2, b1, b2, theta)
+    return rho, u, w1, w2, b1, b2, theta
+
+
+def manufactured_steady(params: PhysParams) -> ManufacturedSolution:
+    """Time-independent fields; time discretization error vanishes, so a
+    refinement sweep isolates the spatial order."""
+    return _build(params, *_steady_fields(sp.Integer(0)))
+
+
+def manufactured_advecting(params: PhysParams) -> ManufacturedSolution:
+    """The fields of manufactured_steady with u = sin(pi x) / 10: the
+    upwind advection of every field and the continuity source enter, so
+    a refinement sweep shows first order."""
+    return _build(params, *_steady_fields(sp.sin(sp.pi * _x) / 10))
 
 
 def manufactured_transient(params: PhysParams) -> ManufacturedSolution:
@@ -146,9 +163,11 @@ def solution_error(mms: ManufacturedSolution, grid: GridSpec,
 
 
 def spatial_order(params: PhysParams, n_values: Sequence[int] = (32, 64, 128),
-                  t_end: float = 0.25, cfl: float = 0.4) -> tuple:
-    """Observed order from a dyadic grid triple at fixed dt/dx."""
-    mms = manufactured_steady(params)
+                  t_end: float = 0.25, cfl: float = 0.4,
+                  solution: Callable[[PhysParams], ManufacturedSolution]
+                  = manufactured_steady) -> tuple:
+    """Observed order from a dyadic grid sequence at fixed dt/dx."""
+    mms = solution(params)
     errs = []
     for n in n_values:
         grid = GridSpec(n)

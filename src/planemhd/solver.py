@@ -550,8 +550,11 @@ def step(state: FlowState, grid: GridSpec, dt: float, params: PhysParams,
 def run_lockstep(initial: FlowState, grid: GridSpec, params: PhysParams,
                  bdry: BoundaryData, cfg: TimeConfig,
                  mu_values: Sequence[float],
-                 forcing: Optional[ForcingSpec] = None
-                 ) -> List[Union[Trajectory, RunAborted]]:
+                 forcing: Optional[ForcingSpec] = None,
+                 on_snapshot: Optional[Callable[[FlowState, tuple],
+                                                None]] = None,
+                 store: Optional[Sequence[int]] = None
+                 ) -> List[Union[Trajectory, np.ndarray, RunAborted]]:
     """Integrate one member per mu value from the same initial state, all
     on one time grid, to t_end.
 
@@ -560,17 +563,24 @@ def run_lockstep(initial: FlowState, grid: GridSpec, params: PhysParams,
     live members, at most dt_max. A StepFailure in any member halves
     dt for all; a member that still fails at dt_min, or whose CFL step
     falls below dt_min, leaves with its RunAborted, and the others redo
-    the step without it. Snapshots are stored every snapshot_stride
+    the step without it. Snapshots are taken every snapshot_stride
     accepted steps plus the final state; the diagnostics table has one
     row for the initial state and one for every accepted step.
 
-    Returns per member its Trajectory, or the RunAborted that ended it.
+    on_snapshot(state, members), if given, is called with the batch
+    state at t = 0 and at every snapshot; members names the member in
+    each row of state. store lists the members whose snapshots are kept
+    (all by default).
+
+    Returns per member its Trajectory, its diagnostics table if its
+    snapshots are not kept, or the RunAborted that ended it.
     """
     mu = np.array(mu_values, dtype=float)
     if mu.ndim != 1 or not np.all(mu >= 0):     # NaN fails too
         raise ValueError("mu_values must be nonnegative")
     t_end = cfg.t_end
     members = list(range(len(mu)))      # the member in each batch row
+    stored = set(members if store is None else store)
     state = FlowState(t=initial.t, **{
         name: np.broadcast_to(getattr(initial, name),
                               (len(mu),) + getattr(initial, name).shape)
@@ -589,9 +599,12 @@ def run_lockstep(initial: FlowState, grid: GridSpec, params: PhysParams,
     # the batch rows, so that no member's trajectory holds another's
     n_diags, n_snaps = rows_left(cfg.dt_max)
     fields = [{name: _Rows(getattr(state, name)[m], n_snaps)
-               for name in STATE_FIELDS} for m in members]
+               for name in STATE_FIELDS} if m in stored else None
+              for m in members]
     diags = [_Rows(row, n_diags)
              for row in _diag.record(state, grid, batch)]
+    if on_snapshot is not None:
+        on_snapshot(state, tuple(members))
     k = 0
     eps = 1e-12 * max(t_end, 1.0)
     while members and state.t < t_end - eps:
@@ -624,12 +637,17 @@ def run_lockstep(initial: FlowState, grid: GridSpec, params: PhysParams,
         if k % cfg.snapshot_stride == 0 or state.t >= t_end - eps:
             times.append(state.t)
             for i, m in enumerate(members):
-                for name in STATE_FIELDS:
-                    fields[m][name].append(getattr(state, name)[i], n_snaps)
+                if fields[m] is not None:
+                    for name in STATE_FIELDS:
+                        fields[m][name].append(getattr(state, name)[i],
+                                               n_snaps)
+            if on_snapshot is not None:
+                on_snapshot(state, tuple(members))
     for m in members:
-        outcome[m] = Trajectory.from_arrays(
+        table = diags[m].array()
+        outcome[m] = table if fields[m] is None else Trajectory.from_arrays(
             times, {name: rows.array() for name, rows in fields[m].items()},
-            diags[m].array())
+            table)
         fields[m] = diags[m] = None
     return outcome
 

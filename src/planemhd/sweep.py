@@ -4,13 +4,16 @@ thickness estimation against the mu = 0 reference run."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BoundaryData, FlowState, GridSpec, PhysParams, Trajectory
-from .diagnostics import (ErrorNorms, deviation_profile, error_norms,
-                          interior_sup, interior_w_grad)
+from .core import (STATE_FIELDS, BoundaryData, FlowState, GridSpec,
+                   PhysParams, Trajectory)
+from .diagnostics import (ErrorNorms, deviation, deviation_profile,
+                          interior_sup, interior_w_sq, norms_over_time,
+                          sq_errors)
 from .solver import RunAborted, TimeConfig, run_lockstep
 
 DEFAULT_INTERIOR_DELTAS = (0.05, 0.1, 0.2)
@@ -49,13 +52,16 @@ class BLThickness(NamedTuple):
 def bl_thickness(traj: Trajectory, reference: Trajectory, tol: float,
                  grid: GridSpec) -> BLThickness:
     """Smallest grid multiple of dx (up to 1/4) whose interior excludes
-    all deviations above tol; saturates at 1/4 if none qualifies.
-
-    The time-max deviation profile is computed once and each candidate
-    interior is a mask over it."""
+    all deviations above tol; saturates at 1/4 if none qualifies."""
     if not tol > 0:                 # NaN fails too
         raise ValueError("tol must be positive")
-    profile = deviation_profile(traj, reference)
+    return _thickness(deviation_profile(traj, reference), tol, grid)
+
+
+def _thickness(profile: Tuple[np.ndarray, np.ndarray], tol: float,
+               grid: GridSpec) -> BLThickness:
+    """bl_thickness from the time-max deviation profile: each candidate
+    interior is a mask over it."""
     k = 1
     while k * grid.dx <= BL_DELTA_CEILING + 1e-12:
         delta = k * grid.dx
@@ -120,41 +126,80 @@ class SweepResult:
     reference: Trajectory
 
 
-def _summarize(traj: Trajectory) -> RunSummary:
-    d = traj.diagnostics
+def _summarize(diagnostics: np.ndarray, max_abs_w: float) -> RunSummary:
+    d = diagnostics
     return RunSummary(
         max_theta=float(d["max_theta"].max()),
         min_theta=float(d["min_theta"].min()),
         max_rho=float(d["max_rho"].max()),
         min_rho=float(d["min_rho"].min()),
-        max_abs_w=float(np.abs(traj.w).max()),
+        max_abs_w=max_abs_w,
         max_w_grad_l2=float(d["w_grad_l2"].max()),
         max_weighted_w_grad=float(d["weighted_w_grad_1"].max()))
 
 
-def _rate_fit_with_exclusion(points: List[Tuple[float, float]]
-                             ) -> Optional[PowerLawFit]:
-    """Fit, dropping the largest mu if its log residual is an outlier."""
-    if len(points) < 3:
-        return None
-    fit = fit_power_law(points)
-    lx = np.log([p[0] for p in points])
-    ly = np.log([p[1] for p in points])
-    resid = np.abs(ly - (fit.exponent * lx + np.log(fit.prefactor)))
-    median = np.median(resid)
-    largest = int(np.argmax(lx))
-    if median > 0 and resid[largest] > 3 * median and len(points) > 3:
-        trimmed = [p for i, p in enumerate(points) if i != largest]
-        return fit_power_law(trimmed)
-    return fit
+class _Comparison:
+    """Compares each member of a lockstep sweep with the mu = 0
+    reference, batch row 0, one snapshot at a time, so that no member's
+    snapshots are kept.
+
+    Per member it holds the per-snapshot sq_errors, the running max of
+    the deviation (the deviation_profile), the running max of the
+    interior w_x norm per delta and of |w|. These are the quantities
+    error_norms, bl_thickness, interior_w_grad and max |w| take from
+    whole trajectories, reduced the same way, so the results are the
+    same to the bit. An aborted member's entries are never read.
+    """
+
+    def __init__(self, plan: SweepPlan):
+        n = len(plan.mu_values) + 1
+        self.grid = grid = plan.grid
+        self.deltas = plan.interior_deltas
+        self.state_sq: List[list] = [[] for _ in range(n)]
+        self.grad_sq: List[list] = [[] for _ in range(n)]
+        self.cell = np.zeros((n, grid.n_cells))
+        self.node = np.zeros((n, grid.n_cells + 1))
+        self.w_sq = np.zeros((n, len(self.deltas)))
+        self.max_abs_w = np.zeros(n)
+
+    def __call__(self, state: FlowState, members: Sequence[int]):
+        if members[0] != 0:             # the reference aborted
+            return
+        ref = SimpleNamespace(**{name: getattr(state, name)[0]
+                                 for name in STATE_FIELDS})
+        runs = SimpleNamespace(**{name: getattr(state, name)[1:]
+                                  for name in STATE_FIELDS})
+        rows = list(members[1:])
+        state_sq, grad_sq = sq_errors(runs, ref, self.grid)
+        for m, s, g in zip(rows, state_sq, grad_sq):
+            self.state_sq[m].append(s)
+            self.grad_sq[m].append(g)
+        cell, node = deviation(runs, ref)
+        self.cell[rows] = np.maximum(self.cell[rows], cell)
+        self.node[rows] = np.maximum(self.node[rows], node)
+        w_sq = np.stack([interior_w_sq(runs.w, d, self.grid)
+                         for d in self.deltas], axis=-1)
+        self.w_sq[rows] = np.maximum(self.w_sq[rows], w_sq)
+        self.max_abs_w[rows] = np.maximum(self.max_abs_w[rows],
+                                          np.abs(runs.w).max(axis=(-2, -1)))
+
+    def errors(self, m: int, times: np.ndarray) -> ErrorNorms:
+        return norms_over_time(np.array(self.state_sq[m]),
+                               np.array(self.grad_sq[m]), times)
+
+    def thickness(self, m: int, tol: float) -> BLThickness:
+        return _thickness((self.cell[m], self.node[m]), tol, self.grid)
 
 
 def run_sweep(plan: SweepPlan) -> SweepResult:
-    """Run the mu = 0 reference and every mu value in lockstep, then
-    compare each mu run with the reference."""
+    """Run the mu = 0 reference and every mu value in lockstep, and
+    compare each mu run with the reference as the batch steps. Only the
+    reference's snapshots are kept."""
+    compare = _Comparison(plan)
     reference, *runs = run_lockstep(plan.initial, plan.grid, plan.params,
                                     plan.bdry, plan.time,
-                                    (0.0,) + tuple(plan.mu_values))
+                                    (0.0,) + tuple(plan.mu_values),
+                                    on_snapshot=compare, store=(0,))
     if isinstance(reference, RunAborted):
         raise reference
     errors: List[Optional[ErrorNorms]] = []
@@ -164,35 +209,34 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     summaries: List[Optional[RunSummary]] = []
     failures: List[Optional[dict]] = []
     interior: dict = {d: [] for d in plan.interior_deltas}
-    for mu, traj in zip(plan.mu_values, runs):
-        if isinstance(traj, RunAborted):
+    for m, (mu, diags) in enumerate(zip(plan.mu_values, runs), start=1):
+        if isinstance(diags, RunAborted):
             errors.append(None)
             deltas.append(None)
             saturated.append(None)
             scaled.append(None)
             summaries.append(None)
-            failures.append(traj.report)
+            failures.append(diags.report)
             for d in plan.interior_deltas:
                 interior[d].append(None)
             continue
-        err = error_norms(traj, reference, plan.grid)
-        bl = bl_thickness(traj, reference, plan.bl_tol, plan.grid)
-        summary = _summarize(traj)
-        errors.append(err)
+        bl = compare.thickness(m, plan.bl_tol)
+        summary = _summarize(diags, float(compare.max_abs_w[m]))
+        errors.append(compare.errors(m, reference.snapshot_times))
         deltas.append(bl.delta)
         saturated.append(bl.saturated)
         scaled.append(float(np.sqrt(mu)) * summary.max_w_grad_l2)
         summaries.append(summary)
         failures.append(None)
-        for d in plan.interior_deltas:
-            interior[d].append(interior_w_grad(traj, d, plan.grid))
+        for d, w_sq in zip(plan.interior_deltas, compare.w_sq[m]):
+            interior[d].append(float(w_sq))
     rate_points = [(mu, e.combined)
                    for mu, e in zip(plan.mu_values, errors)
                    if e is not None and e.combined > 0]
     thick_points = [(mu, d)
                     for mu, d, sat in zip(plan.mu_values, deltas, saturated)
                     if d is not None and not sat]
-    rate_fit = _rate_fit_with_exclusion(rate_points)
+    rate_fit = fit_power_law(rate_points) if len(rate_points) >= 3 else None
     thickness_fit = (fit_power_law(thick_points)
                      if len(thick_points) >= 3 else None)
     return SweepResult(mu_values=tuple(plan.mu_values), errors=errors,

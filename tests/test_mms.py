@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from planemhd.core import BoundaryData, GridSpec, PhysParams
-from planemhd.mms import manufactured_steady, manufactured_transient
+from planemhd.mms import (manufactured_advecting, manufactured_steady,
+                          manufactured_transient, spatial_order)
 from planemhd.solver import step
 
 PARAMS = PhysParams(mu=0.05)
@@ -73,3 +74,26 @@ class TestForcingConsistency:
         drift = max(np.abs(advanced.w - exact.w).max(),
                     np.abs(advanced.theta - exact.theta).max())
         assert drift > 1e-3
+
+
+class TestAdvectingOrder:
+    def test_spatial_order_with_nonzero_u(self):
+        """With u != 0 the continuity source is nonzero, and the
+        momentum and transverse sources must be those of the
+        non-conservative update the scheme takes. Upwind advection then
+        gives first order; a conservative-form source leaves an O(1)
+        residual and the error stalls."""
+        order, errs = spatial_order(PARAMS, (32, 64, 128, 256), t_end=0.1,
+                                    solution=manufactured_advecting)
+        assert order >= 0.9, errs
+
+    def test_u_zero_sources_have_no_advection_correction(self):
+        """For u = 0 the continuity source vanishes, so the correction
+        terms are zero and the u = 0 solutions keep their sources."""
+        grid = GridSpec(32)
+        x = grid.node_positions
+        for builder in (manufactured_steady, manufactured_transient):
+            mms = builder(PARAMS)
+            assert not mms.forcing.continuity(x, 0.2).any()
+        advecting = manufactured_advecting(PARAMS)
+        assert np.abs(advecting.forcing.continuity(x, 0.2)).max() > 1e-2

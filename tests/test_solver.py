@@ -3,8 +3,8 @@ import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
-from planemhd.core import (BoundaryData, FlowState, GridSpec, PhysParams,
-                           make_initial_state)
+from planemhd.core import (STATE_FIELDS, BoundaryData, FlowState, GridSpec,
+                           PhysParams, make_initial_state)
 from planemhd import solver
 from planemhd.core import interpolate_to_nodes
 from planemhd.solver import (ForcingSpec, RunAborted, StepFailure,
@@ -614,3 +614,88 @@ class TestLockstep:
     def test_rejects_negative_mu(self):
         with pytest.raises(ValueError):
             run_lockstep(*_lockstep_scenario(), (1e-2, -1e-3))
+
+    def test_snapshot_hook_sees_each_snapshot(self, monkeypatch):
+        """on_snapshot gets the batch state at t = 0 and at every
+        snapshot, with the members still running in its rows."""
+        initial, grid, params, bdry, cfg = _lockstep_scenario()
+        clean = run_lockstep(initial, grid, params, bdry, cfg, MEMBERS)
+        seen = []
+
+        def hook(state, members):
+            seen.append((state.t, members,
+                         {name: getattr(state, name).copy()
+                          for name in STATE_FIELDS}))
+
+        real_step = solver.step
+
+        def step_failing_mu(state, grid, dt, params, *args):
+            mu = np.ravel(params.mu)
+            if state.t >= 0.02 and 1e-3 in mu:
+                raise StepFailure("test rejection", "u", 3, state.t,
+                                  int(np.flatnonzero(mu == 1e-3)[0]))
+            return real_step(state, grid, dt, params, *args)
+
+        monkeypatch.setattr(solver, "step", step_failing_mu)
+        outs = run_lockstep(initial, grid, params, bdry, cfg, MEMBERS,
+                            on_snapshot=hook)
+        assert isinstance(outs[2], RunAborted)
+        left_at = outs[2].report["t"]
+        assert [t for t, _, _ in seen] == list(outs[0].snapshot_times)
+        for s, (t, members, fields) in enumerate(seen):
+            assert members == ((0, 1, 2, 3) if t <= left_at else (0, 1, 3))
+            for row, m in enumerate(members):
+                for name in STATE_FIELDS:
+                    want = (clean if m == 2 else outs)[m]
+                    assert np.array_equal(fields[name][row],
+                                          getattr(want, name)[s]), name
+
+    def test_unstored_members_keep_diagnostics(self):
+        """Members left out of store return their diagnostics table in
+        place of a Trajectory; the stored ones are unchanged."""
+        initial, grid, params, bdry, cfg = _lockstep_scenario()
+        full = run_lockstep(initial, grid, params, bdry, cfg, MEMBERS)
+        outs = run_lockstep(initial, grid, params, bdry, cfg, MEMBERS,
+                            store=(0, 2))
+        for i in (0, 2):
+            _assert_same_run(outs[i], full[i])
+        for i in (1, 3):
+            assert isinstance(outs[i], np.ndarray)
+            assert np.array_equal(outs[i], full[i].diagnostics)
+
+
+@st.composite
+def _admissible_runs(draw):
+    """A random admissible initial state on 16 to 32 cells, with its
+    wall data, mu and a short t_end. rho and theta lie in [0.05, 20]
+    (log-uniform), u, w and b in [-5, 5]."""
+    n = draw(st.integers(16, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = rng.uniform(-5.0, 5.0, n + 1)
+    b = rng.uniform(-5.0, 5.0, (n + 1, 2))
+    u[0] = u[-1] = 0.0
+    b[0] = b[-1] = 0.0
+    profiles = {"rho": np.exp(rng.uniform(np.log(0.05), np.log(20.0), n)),
+                "theta": np.exp(rng.uniform(np.log(0.05), np.log(20.0), n)),
+                "u": u, "w": rng.uniform(-5.0, 5.0, (n + 1, 2)), "b": b}
+    amplitude = draw(st.floats(-10.0, 10.0))
+    bdry = draw(st.sampled_from([BoundaryData.constant(amplitude),
+                                 BoundaryData.cosine_ramp(amplitude, 0.01)]))
+    grid = GridSpec(n)
+    return (make_initial_state(grid, profiles, bdry), grid,
+            PhysParams(mu=draw(st.sampled_from([0.0, 1e-4, 1e-2, 1.0]))),
+            bdry, TimeConfig(t_end=draw(st.floats(1e-3, 0.02))))
+
+
+class TestRobustness:
+    @given(_admissible_runs())
+    @settings(max_examples=25, deadline=None)
+    def test_run_ends_finite_or_aborted(self, scenario):
+        """Large and rough data either integrate to finite fields or
+        end in a RunAborted report, never in another exception."""
+        try:
+            traj = run(*scenario)
+        except RunAborted:
+            return
+        for name in STATE_FIELDS:
+            assert np.isfinite(getattr(traj, name)).all(), name

@@ -1,18 +1,21 @@
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planemhd.core import (BoundaryData, FlowState, GridSpec, PhysParams,
-                           Trajectory, make_initial_state)
-from planemhd.diagnostics import ErrorNorms, interior_sup_deviation
+from planemhd.core import (STATE_FIELDS, BoundaryData, FlowState,
+                           GridSpec, PhysParams, Trajectory,
+                           make_initial_state)
+from planemhd.diagnostics import (ErrorNorms, error_norms,
+                                  interior_sup_deviation, interior_w_grad)
 from planemhd.solver import TimeConfig, run, run_lockstep
 from planemhd.sweep import (BL_DELTA_CEILING, BLThickness, SweepPlan,
-                            SweepResult, _rate_fit_with_exclusion,
-                            _upper_hull, bl_thickness, fit_power_law,
-                            run_sweep, thickness_scaling_report)
+                            SweepResult, _summarize, _upper_hull,
+                            bl_thickness, fit_power_law, run_sweep,
+                            thickness_scaling_report)
 
 
 class TestFitPowerLaw:
@@ -48,32 +51,6 @@ class TestFitPowerLaw:
         assert scaled.exponent == pytest.approx(base.exponent, abs=1e-9)
         assert scaled.prefactor == pytest.approx(c * base.prefactor,
                                                  rel=1e-9)
-
-
-class TestRateFitWithExclusion:
-    # nine mu values, largest first, on an exact mu^0.25 law with a small
-    # fixed scatter; with fewer equally log-spaced points a lone outlier at
-    # the largest mu pulls the fit too close to reach 3x the median residual
-    MU = 10.0 ** -np.arange(1, 10)
-    SCATTER = np.exp([0.01, -0.02, 0.015, -0.01, 0.02, -0.015, 0.01,
-                      -0.01, 0.005])
-
-    def _points(self, outlier):
-        y = 0.8 * self.MU ** 0.25 * self.SCATTER
-        y[0] *= outlier
-        return list(zip(self.MU, y))
-
-    def test_drops_largest_mu_outlier(self):
-        points = self._points(outlier=3.0)
-        assert _rate_fit_with_exclusion(points) == fit_power_law(points[1:])
-
-    def test_keeps_full_fit_without_outlier(self):
-        points = self._points(outlier=1.0)
-        assert _rate_fit_with_exclusion(points) == fit_power_law(points)
-
-    def test_never_drops_from_three_points(self):
-        points = self._points(outlier=3.0)[:3]
-        assert _rate_fit_with_exclusion(points) == fit_power_law(points)
 
 
 class TestUpperHull:
@@ -307,3 +284,61 @@ class TestRunSweep:
         for traj in members:
             np.testing.assert_array_equal(traj.snapshot_times,
                                           reference.snapshot_times)
+
+
+def _ramp_plan(n_cells, time, mu_values=(1e-2, 1e-3, 1e-4)):
+    grid = GridSpec(n_cells)
+    bdry = BoundaryData.cosine_ramp(1.0, 0.25)
+    return SweepPlan(
+        mu_values=mu_values, grid=grid, params=PhysParams(), bdry=bdry,
+        time=time, initial=make_initial_state(grid, "transverse-rest", bdry))
+
+
+class TestSweepComparison:
+    """run_sweep compares each member with the reference as the batch
+    steps and keeps no member snapshots."""
+
+    @pytest.mark.parametrize("dt_max", [1e-2, 1e-3],
+                             ids=["cfl-sets-dt", "dt-max-sets-dt"])
+    def test_matches_whole_trajectory_comparisons(self, dt_max):
+        """The per-snapshot reductions give exactly what the whole-
+        trajectory comparisons give on stored lockstep members, also
+        with a final snapshot off the stride."""
+        plan = _ramp_plan(64, TimeConfig(t_end=0.1, dt_max=dt_max,
+                                         snapshot_stride=3))
+        grid = plan.grid
+        result = run_sweep(plan)
+        reference, *members = run_lockstep(
+            plan.initial, grid, plan.params, plan.bdry, plan.time,
+            (0.0,) + plan.mu_values)
+        steps = np.diff(reference.diagnostics["t"])
+        assert (steps.max() < dt_max) == (dt_max == 1e-2)
+        assert not all(result.saturated)
+        for i, traj in enumerate(members):
+            assert result.errors[i] == error_norms(traj, reference, grid)
+            bl = bl_thickness(traj, reference, plan.bl_tol, grid)
+            assert (result.deltas[i], result.saturated[i]) == bl
+            for d in plan.interior_deltas:
+                assert (result.interior_w_grads[d][i]
+                        == interior_w_grad(traj, d, grid))
+            assert result.summaries[i] == _summarize(
+                traj.diagnostics, float(np.abs(traj.w).max()))
+
+    def test_peak_memory_below_two_reference_copies(self):
+        """A sweep's traced peak stays below twice the reference's
+        snapshot bytes: member snapshots are never stored."""
+        plan = _ramp_plan(128, TimeConfig(t_end=0.1, dt_max=5e-4),
+                          (1e-2, 1e-3, 1e-4, 1e-5))
+        # warm the per-grid caches on a short sweep of the same grid
+        run_sweep(replace(plan, time=replace(plan.time, t_end=1e-3)))
+        tracemalloc.start()
+        try:
+            result = run_sweep(plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ref = result.reference
+        assert len(ref.snapshot_times) == 201
+        snapshot_bytes = sum(getattr(ref, name).nbytes
+                             for name in STATE_FIELDS)
+        assert peak < 2 * snapshot_bytes
