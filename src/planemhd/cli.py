@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -23,20 +26,64 @@ from .sweep import SweepPlan, run_sweep, thickness_scaling_report
 from . import verify as verify_suites
 
 
+# Rows per formatted block: a block is the unit of work of one formatter
+# call, so the writer never holds more than a few blocks of text or
+# Python floats at once.
+BLOCK_ROWS = 16384
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _block_map(n_blocks: int):
+    """`map` for formatting n_blocks blocks, in order: over a pool of
+    forked workers when there are several blocks, several usable cores
+    and a platform with fork, else in this process. The pool is joined
+    on exit."""
+    workers = min(_usable_cores(), n_blocks)
+    if workers < 2 or not hasattr(os, "fork"):
+        yield map
+        return
+    # imported here, so that commands writing no multi-block file do
+    # not pay their import time and memory
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield pool.map
+
+
+def _format_block(fmt: str, columns: list) -> str:
+    """One block of CSV rows: fmt applied to each row of the columns."""
+    values = [c.tolist() if isinstance(c, np.ndarray) else c
+              for c in columns]
+    return "".join(fmt % row for row in zip(*values))
+
+
 def _write_csv(path: Path, header: str, columns: dict) -> None:
     """Write the header line, the column names and one line per row.
 
     columns maps each name to its values: a float array, written as
-    %.17g, or a sequence of strings. Each row is one %-format, and rows
-    stream to the file rather than being joined in memory.
+    %.17g, or a sequence of strings. Rows are formatted in blocks of
+    BLOCK_ROWS (see _block_map) and each block is written as soon as
+    it and those before it are ready.
     """
+    values = list(columns.values())
     fmt = ",".join("%.17g" if isinstance(c, np.ndarray) else "%s"
-                   for c in columns.values()) + "\n"
-    values = [c.tolist() if isinstance(c, np.ndarray) else c
-              for c in columns.values()]
-    with path.open("w") as f:
-        f.write(f"{header}\n{','.join(columns)}\n")
-        f.writelines(fmt % row for row in zip(*values))
+                   for c in values) + "\n"
+    starts = range(0, len(values[0]), BLOCK_ROWS)
+    blocks = ([c[i:i + BLOCK_ROWS] for c in values] for i in starts)
+    with _block_map(len(starts)) as map_blocks:
+        # pool.map forks the workers now, so they never hold the file
+        text = map_blocks(_format_block, repeat(fmt), blocks)
+        with path.open("w") as f:
+            f.write(f"{header}\n{','.join(columns)}\n")
+            f.writelines(text)
 
 
 def _load_config(args) -> RunConfig:
@@ -49,10 +96,12 @@ def _load_config(args) -> RunConfig:
 
 def _emit_trajectory(outdir: Path, cfg: RunConfig, traj, grid) -> None:
     tag = f"# config_hash={config_hash(cfg)}"
-    n_snap, n_nodes = traj.u.shape
+    # t and x repeat across rows: format each distinct value once
+    times = ["%.17g" % t for t in traj.snapshot_times.tolist()]
+    nodes = ["%.17g" % x for x in grid.node_positions.tolist()]
     _write_csv(outdir / "snapshots.csv", tag, {
-        "t": np.repeat(traj.snapshot_times, n_nodes),
-        "x": np.tile(grid.node_positions, n_snap),
+        "t": [t for t in times for _ in nodes],
+        "x": nodes * len(times),
         "rho": interpolate_to_nodes(traj.rho).ravel(),
         "u": traj.u.ravel(),
         "w1": traj.w[..., 0].ravel(), "w2": traj.w[..., 1].ravel(),

@@ -16,18 +16,25 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import sympy as sp
 
 from .core import (BoundaryData, FlowState, GridSpec, PhysParams,
                    Trajectory, make_initial_state)
 from .diagnostics import error_norms
 from .solver import ForcingSpec, TimeConfig, run
 
-_x, _t = sp.symbols("x t", real=True)
+
+def _sympy():
+    """sympy and the symbols x, t. sympy is imported on first use, so
+    that importing the solver or the command line does not pay for it;
+    it caches symbols by name, so every call returns the same x and t."""
+    import sympy
+    x, t = sympy.symbols("x t", real=True)
+    return sympy, x, t
 
 
 def _lambdify(expr):
-    f = sp.lambdify((_x, _t), expr, modules="numpy")
+    sp, *xt = _sympy()
+    f = sp.lambdify(xt, expr, modules="numpy")
 
     def wrapped(x, t):
         return np.broadcast_to(np.asarray(f(x, t), dtype=float),
@@ -72,31 +79,32 @@ def _build(params: PhysParams, rho, u, w1, w2, b1, b2,
            theta) -> ManufacturedSolution:
     """Derive the compensating sources symbolically from the field
     expressions."""
+    sp, x, t = _sympy()
     lam, mu, nu = params.lam, params.mu, params.nu
     gamma, c_v = params.gamma, params.c_v
     km = params.kappa_model
     p = gamma * rho * theta
     bsq = b1 ** 2 + b2 ** 2
     kap = km.kappa1 * (1 + theta ** km.q) + km.kappa2 * rho
-    heat = (lam * sp.diff(u, _x) ** 2
-            + mu * (sp.diff(w1, _x) ** 2 + sp.diff(w2, _x) ** 2)
-            + nu * (sp.diff(b1, _x) ** 2 + sp.diff(b2, _x) ** 2))
-    f_rho = sp.diff(rho, _t) + sp.diff(rho * u, _x)
+    heat = (lam * sp.diff(u, x) ** 2
+            + mu * (sp.diff(w1, x) ** 2 + sp.diff(w2, x) ** 2)
+            + nu * (sp.diff(b1, x) ** 2 + sp.diff(b2, x) ** 2))
+    f_rho = sp.diff(rho, t) + sp.diff(rho * u, x)
     # the scheme advances rho (u_t + u u_x), which is the conservative
-    # (rho u)_t + (rho u^2)_x less u times the continuity residual f_rho
-    f_u = (sp.diff(rho * u, _t)
-           + sp.diff(rho * u ** 2 + p + bsq / 2, _x)
-           - lam * sp.diff(u, _x, 2) - u * f_rho)
-    f_w = [sp.diff(rho * wk, _t) + sp.diff(rho * u * wk - bk, _x)
-           - mu * sp.diff(wk, _x, 2) - wk * f_rho
+    # (rho u)t + (rho u^2)x less u times the continuity residual f_rho
+    f_u = (sp.diff(rho * u, t)
+           + sp.diff(rho * u ** 2 + p + bsq / 2, x)
+           - lam * sp.diff(u, x, 2) - u * f_rho)
+    f_w = [sp.diff(rho * wk, t) + sp.diff(rho * u * wk - bk, x)
+           - mu * sp.diff(wk, x, 2) - wk * f_rho
            for wk, bk in ((w1, b1), (w2, b2))]
-    f_b = [sp.diff(bk, _t) + sp.diff(u * bk - wk, _x)
-           - nu * sp.diff(bk, _x, 2)
+    f_b = [sp.diff(bk, t) + sp.diff(u * bk - wk, x)
+           - nu * sp.diff(bk, x, 2)
            for wk, bk in ((w1, b1), (w2, b2))]
-    f_th = (sp.diff(rho * c_v * theta, _t)
-            + sp.diff(rho * u * c_v * theta, _x)
-            + p * sp.diff(u, _x)
-            - sp.diff(kap * sp.diff(theta, _x), _x)
+    f_th = (sp.diff(rho * c_v * theta, t)
+            + sp.diff(rho * u * c_v * theta, x)
+            + p * sp.diff(u, x)
+            - sp.diff(kap * sp.diff(theta, x), x)
             - heat)
     forcing = ForcingSpec(
         continuity=_lambdify(f_rho),
@@ -113,42 +121,45 @@ def _build(params: PhysParams, rho, u, w1, w2, b1, b2,
 
 def _steady_fields(u) -> tuple:
     """The steady (rho, u, w1, w2, b1, b2, theta) with the given u."""
+    sp, x, _ = _sympy()
     pi = sp.pi
-    rho = 1 + sp.Rational(3, 10) * sp.cos(2 * pi * _x)
-    w1 = sp.Rational(1, 2) * sp.sin(pi * _x)
-    w2 = -sp.Rational(3, 10) * sp.sin(2 * pi * _x)
-    b1 = sp.Rational(2, 5) * sp.sin(pi * _x)
-    b2 = sp.Rational(1, 5) * sp.sin(2 * pi * _x)
-    theta = 1 + sp.Rational(1, 5) * sp.cos(pi * _x)
+    rho = 1 + sp.Rational(3, 10) * sp.cos(2 * pi * x)
+    w1 = sp.Rational(1, 2) * sp.sin(pi * x)
+    w2 = -sp.Rational(3, 10) * sp.sin(2 * pi * x)
+    b1 = sp.Rational(2, 5) * sp.sin(pi * x)
+    b2 = sp.Rational(1, 5) * sp.sin(2 * pi * x)
+    theta = 1 + sp.Rational(1, 5) * sp.cos(pi * x)
     return rho, u, w1, w2, b1, b2, theta
 
 
 def manufactured_steady(params: PhysParams) -> ManufacturedSolution:
     """Time-independent fields; time discretization error vanishes, so a
     refinement sweep isolates the spatial order."""
-    return _build(params, *_steady_fields(sp.Integer(0)))
+    return _build(params, *_steady_fields(0))
 
 
 def manufactured_advecting(params: PhysParams) -> ManufacturedSolution:
     """The fields of manufactured_steady with u = sin(pi x) / 10: the
     upwind advection of every field and the continuity source enter, so
     a refinement sweep shows first order."""
-    return _build(params, *_steady_fields(sp.sin(sp.pi * _x) / 10))
+    sp, x, _ = _sympy()
+    return _build(params, *_steady_fields(sp.sin(sp.pi * x) / 10))
 
 
 def manufactured_transient(params: PhysParams) -> ManufacturedSolution:
     """Time-dependent fields at fixed spatial profiles; a dt refinement at
     fine dx isolates the temporal order."""
+    sp, x, t = _sympy()
     pi = sp.pi
-    rho = 1 + sp.Rational(1, 5) * sp.cos(2 * pi * _x)
+    rho = 1 + sp.Rational(1, 5) * sp.cos(2 * pi * x)
     u = sp.Integer(0)
-    g = sp.cos(3 * _t)
-    h = sp.sin(2 * _t)
-    w1 = sp.Rational(1, 2) * sp.sin(pi * _x) * g
-    w2 = sp.Rational(1, 4) * sp.sin(2 * pi * _x) * h
-    b1 = sp.Rational(2, 5) * sp.sin(pi * _x) * h
-    b2 = sp.Rational(1, 5) * sp.sin(2 * pi * _x) * g
-    theta = 1 + sp.Rational(1, 5) * sp.cos(pi * _x) * sp.cos(2 * _t)
+    g = sp.cos(3 * t)
+    h = sp.sin(2 * t)
+    w1 = sp.Rational(1, 2) * sp.sin(pi * x) * g
+    w2 = sp.Rational(1, 4) * sp.sin(2 * pi * x) * h
+    b1 = sp.Rational(2, 5) * sp.sin(pi * x) * h
+    b2 = sp.Rational(1, 5) * sp.sin(2 * pi * x) * g
+    theta = 1 + sp.Rational(1, 5) * sp.cos(pi * x) * sp.cos(2 * t)
     return _build(params, rho, u, w1, w2, b1, b2, theta)
 
 

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -202,12 +203,42 @@ class TestSweepCommand:
         assert "alpha" in fits or "error" in fits
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_write_csv_blocks_match_one_format(tmp_path, monkeypatch, cores):
+    """A file of several blocks, formatted in this process (one core) or
+    by a pool of workers (two), has the bytes of one %-format per row,
+    and the pool's workers are gone once the write returns."""
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    n = 5 * cli.BLOCK_ROWS // 2
+    rng = np.random.default_rng(7)
+    floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+    floats[:3] = (np.nan, np.inf, -0.0)
+    labels = [f"s{i % 7}" for i in range(n)]
+    path = tmp_path / "out.csv"
+    cli._write_csv(path, "# tag", {"v": floats, "label": labels})
+    want = "# tag\nv,label\n" + "".join(
+        "%.17g,%s\n" % row for row in zip(floats.tolist(), labels))
+    assert path.read_bytes() == want.encode()
+    assert multiprocessing.active_children() == []
+
+
 def test_cli_import_leaves_out_scipy():
     """The solver reaches LAPACK through numpy's own OpenBLAS; importing
     scipy would cost every command its memory and start-up time."""
     src = str(Path(planemhd.__file__).parents[1])
     code = ("import sys; import planemhd.cli; "
             "sys.exit('scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0
+
+
+def test_cli_import_leaves_out_sympy():
+    """Only the manufactured solutions need sympy; importing it would
+    cost every command its memory and start-up time."""
+    src = str(Path(planemhd.__file__).parents[1])
+    code = ("import sys; import planemhd.cli; "
+            "sys.exit('sympy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0
