@@ -9,12 +9,12 @@ identical structure.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from .core import BoundaryData, GridSpec, KappaModel, PhysParams, PRESETS
 from .solver import TimeConfig
+from .sweep import check_settings
 
 
 class ConfigError(ValueError):
@@ -77,13 +77,17 @@ class RunConfig:
                           dt_max=t["dt_max"], dt_min=t["dt_min"],
                           snapshot_stride=t["snapshot_stride"])
 
+    def _floats(self, key: str) -> Tuple[float, ...]:
+        try:
+            return tuple(map(float, str(self.raw["sweep"][key]).split(",")))
+        except ValueError:
+            raise ValueError(f"{key} must be a comma list of floats") from None
+
     def mu_values(self) -> Tuple[float, ...]:
-        return tuple(float(v) for v in
-                     str(self.raw["sweep"]["mu_values"]).split(","))
+        return self._floats("mu_values")
 
     def interior_deltas(self) -> Tuple[float, ...]:
-        return tuple(float(v) for v in
-                     str(self.raw["sweep"]["interior_deltas"]).split(","))
+        return self._floats("interior_deltas")
 
     def bl_tol(self) -> float:
         """sweep.bl_tol if given, else 5% of the boundary amplitude."""
@@ -149,55 +153,29 @@ def parse_config(text: str,
 
 
 def _validate(values, seen):
+    """Build each section through the type that owns its rules, and
+    report the first broken rule, key first, at its line or flag."""
     def bad(section, key, problem):
         source = seen[section].get(key)
         where = f"{source}: " if source is not None else ""
         return ConfigError(f"{where}{section}.{key} {problem}")
 
-    for section, keys in _SCHEMA.items():
-        for key, typ in keys.items():
-            val = values[section].get(key)
-            if typ is float and val is not None and not math.isfinite(val):
-                raise bad(section, key, "must be finite")
+    if values["initial"]["preset"] not in PRESETS:
+        raise bad("initial", "preset", f"must be one of {PRESETS}")
     cfg = RunConfig(raw=values)
-    # these constructors' messages start with the key at fault
     for section, build in (("grid", cfg.grid_spec),
+                           ("physics", cfg.phys_params),
                            ("boundary", cfg.boundary_data),
-                           ("time", cfg.time_config)):
+                           ("time", cfg.time_config),
+                           ("sweep", lambda: check_settings(
+                               cfg.mu_values(), cfg.bl_tol(),
+                               cfg.interior_deltas()))):
         try:
             build()
         except ValueError as exc:
-            raise bad(section, *str(exc).split(" ", 1)) from None
-    # written as `not x > 0` so that NaN fails too
-    phys = values["physics"]
-    for key in ("lambda", "nu", "gamma", "c_v", "kappa1", "q"):
-        if not phys[key] > 0:
-            raise bad("physics", key, "must be positive")
-    for key in ("mu", "kappa2"):
-        if not phys[key] >= 0:
-            raise bad("physics", key, "must be nonnegative")
-    if values["initial"]["preset"] not in PRESETS:
-        raise bad("initial", "preset", f"must be one of {PRESETS}")
-    try:
-        mus = cfg.mu_values()
-    except ValueError:
-        raise bad("sweep", "mu_values",
-                  "must be a comma list of floats") from None
-    if not all(0 < m < math.inf for m in mus):
-        raise bad("sweep", "mu_values",
-                  "must be finite and strictly positive")
-    if not all(b < a for a, b in zip(mus, mus[1:])):
-        raise bad("sweep", "mu_values", "must be strictly decreasing")
-    try:
-        deltas = cfg.interior_deltas()
-    except ValueError:
-        raise bad("sweep", "interior_deltas",
-                  "must be a comma list of floats") from None
-    if not all(0 < d < 0.5 for d in deltas):
-        raise bad("sweep", "interior_deltas", "must lie in (0, 1/2)")
-    tol = values["sweep"].get("bl_tol")
-    if tol is not None and not tol > 0:
-        raise bad("sweep", "bl_tol", "must be positive")
+            name, problem = str(exc).split(" ", 1)
+            key = "lambda" if name == "lam" else name   # the one rename
+            raise bad(section, key, problem) from None
 
 
 def render_config(cfg: RunConfig) -> str:

@@ -8,7 +8,7 @@ workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -27,6 +27,18 @@ def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:
     return out
 
 
+def check_field_types(obj) -> None:
+    """Raise InvalidStateError, naming the field first, if a float field
+    of the dataclass obj is not finite or an int field not an integer."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("float", float) and not np.isfinite(value):
+            raise InvalidStateError(f"{f.name} must be finite")
+        if f.type in ("int", int) and not isinstance(value,
+                                                     (int, np.integer)):
+            raise InvalidStateError(f"{f.name} must be an integer")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform cell grid on [0, 1] with n_cells cells and n_cells+1 nodes."""
@@ -34,6 +46,7 @@ class GridSpec:
     n_cells: int
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_cells < 8:
             raise InvalidStateError(f"n_cells must be >= 8, got {self.n_cells}")
 
@@ -59,6 +72,7 @@ class KappaModel:
     q: float = 2.0
 
     def __post_init__(self):
+        check_field_types(self)
         if not self.kappa1 > 0:                 # NaN fails too
             raise InvalidStateError("kappa1 must be positive")
         if not self.kappa2 >= 0:
@@ -83,6 +97,7 @@ class PhysParams:
     kappa_model: KappaModel = field(default_factory=KappaModel)
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("lam", "nu", "gamma", "c_v"):
             if not getattr(self, name) > 0:     # NaN fails too
                 raise InvalidStateError(f"{name} must be positive")
@@ -111,8 +126,7 @@ class BoundaryData:
         if self.preset not in BOUNDARY_PRESETS:
             raise InvalidStateError(f"preset must be one of "
                                     f"{BOUNDARY_PRESETS}")
-        if not np.isfinite(self.amplitude):
-            raise InvalidStateError("amplitude must be finite")
+        check_field_types(self)
         if not self.ramp_period > 0:            # NaN fails too
             raise InvalidStateError("ramp_period must be positive")
 

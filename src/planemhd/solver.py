@@ -20,7 +20,8 @@ import numpy as np
 
 from . import diagnostics as _diag
 from .core import (STATE_FIELDS, BoundaryData, FlowState, GridSpec,
-                   PhysParams, Trajectory, interpolate_to_nodes)
+                   PhysParams, Trajectory, check_field_types,
+                   interpolate_to_nodes)
 from .eos import kappa as kappa_eval, sq_norm
 
 
@@ -60,6 +61,7 @@ class TimeConfig:
 
     def __post_init__(self):
         # each check names its key first; the comparisons fail on NaN
+        check_field_types(self)
         if not 0 <= self.t_end < np.inf:
             raise ValueError("t_end must be finite and nonnegative")
         if not 0 < self.cfl <= 1:
@@ -576,8 +578,8 @@ def run_lockstep(initial: FlowState, grid: GridSpec, params: PhysParams,
     snapshots are not kept, or the RunAborted that ended it.
     """
     mu = np.array(mu_values, dtype=float)
-    if mu.ndim != 1 or not np.all(mu >= 0):     # NaN fails too
-        raise ValueError("mu_values must be nonnegative")
+    if mu.ndim != 1 or not np.all((mu >= 0) & (mu < np.inf)):  # NaN fails too
+        raise ValueError("mu_values must be finite and nonnegative")
     t_end = cfg.t_end
     members = list(range(len(mu)))      # the member in each batch row
     stored = set(members if store is None else store)

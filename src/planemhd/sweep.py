@@ -85,17 +85,28 @@ class SweepPlan:
     interior_deltas: Tuple[float, ...] = DEFAULT_INTERIOR_DELTAS
 
     def __post_init__(self):
-        mu = np.asarray(self.mu_values, dtype=float)
-        if not np.all(mu > 0):          # NaN fails too
-            raise ValueError("mu_values must be strictly positive")
-        if not np.all(np.diff(mu) < 0):
-            raise ValueError("mu_values must be strictly decreasing")
-        # checked before any run: bl_thickness and interior_w_grad would
-        # reject them only after the whole sweep is integrated
-        if not self.bl_tol > 0:         # NaN fails too
-            raise ValueError("bl_tol must be positive")
-        if not all(0 < d < 0.5 for d in self.interior_deltas):
-            raise ValueError("interior_deltas must lie in (0, 1/2)")
+        check_settings(self.mu_values, self.bl_tol, self.interior_deltas)
+
+
+def check_settings(mu_values: Sequence[float], bl_tol: float,
+                   interior_deltas: Sequence[float]) -> None:
+    """Raise ValueError, naming the argument first, if a sweep setting
+    is out of range: before any run, not in bl_thickness and
+    interior_w_grad after the whole sweep is integrated."""
+    mu = np.asarray(mu_values, dtype=float)
+    if mu.size == 0:
+        raise ValueError("mu_values must not be empty")
+    if not np.all((mu > 0) & (mu < np.inf)):    # NaN fails too
+        raise ValueError("mu_values must be finite and strictly positive")
+    if not np.all(np.diff(mu) < 0):
+        raise ValueError("mu_values must be strictly decreasing")
+    if not 0 < bl_tol < np.inf:
+        raise ValueError(f"bl_tol must be "
+                         f"{'positive' if np.isfinite(bl_tol) else 'finite'}")
+    if len(interior_deltas) == 0:
+        raise ValueError("interior_deltas must not be empty")
+    if not all(0 < d < 0.5 for d in interior_deltas):
+        raise ValueError("interior_deltas must lie in (0, 1/2)")
 
 
 @dataclass(frozen=True)

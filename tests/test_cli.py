@@ -74,6 +74,17 @@ class TestArguments:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_out_names_a_file(self, tmp_path, capsys):
+        """An --out that cannot be made a directory is reported as the
+        config errors are, not as an aborted run."""
+        cfg = _write(tmp_path, RUN_CFG)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        rc = main(["run", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("output error: ")
+        assert out.read_text() == "not a directory\n"
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--mu", "-0.5", "--mu: physics.mu must be nonnegative"),
         ("--mu", "nan", "--mu: physics.mu must be finite"),

@@ -1,7 +1,10 @@
 import pytest
 
-from planemhd.config import (ConfigError, config_hash, parse_config,
-                             render_config)
+from planemhd.config import (_SCHEMA, ConfigError, config_hash,
+                             parse_config, render_config)
+from planemhd.core import BoundaryData, PhysParams
+from planemhd.solver import TimeConfig
+from planemhd.sweep import DEFAULT_INTERIOR_DELTAS, SweepPlan
 
 MINIMAL = """
 [grid]
@@ -74,7 +77,8 @@ class TestValidation:
                            match="line 9: sweep.bl_tol must be positive"):
             parse_config(MINIMAL + f"\n[sweep]\nbl_tol = {value}\n")
 
-    @pytest.mark.parametrize("section, line, message", [
+    # the listed cases, then NaN for every float key not listed yet
+    @pytest.mark.parametrize("section, line, message", list(dict.fromkeys([
         ("physics", "lambda = nan", "physics.lambda must be finite"),
         ("physics", "mu = nan", "physics.mu must be finite"),
         ("physics", "nu = inf", "physics.nu must be finite"),
@@ -101,12 +105,18 @@ class TestValidation:
                                                "must lie in"),
         ("sweep", "interior_deltas = 0.1,0.5", "sweep.interior_deltas "
                                                "must lie in"),
-        ("sweep", "bl_tol = nan", "sweep.bl_tol must be finite")])
+        ("sweep", "bl_tol = nan", "sweep.bl_tol must be finite"),
+        *((section, f"{key} = nan", f"{section}.{key} must be finite")
+          for section, keys in _SCHEMA.items()
+          for key, typ in keys.items() if typ is float)])))
     def test_rejects_nonfinite_and_nonpositive(self, section, line,
                                                message):
         """Each value is rejected at its line; none of these configs is
         ever run."""
-        text = MINIMAL + f"\n[{section}]\n{line}\n"
+        # MINIMAL sets t_end: blank its line rather than repeat the key
+        base = (MINIMAL.replace("t_end = 0.1", "")
+                if line.startswith("t_end") else MINIMAL)
+        text = base + f"\n[{section}]\n{line}\n"
         with pytest.raises(ConfigError, match=f"line 9: {message}"):
             parse_config(text)
 
@@ -144,6 +154,23 @@ class TestFactories:
     def test_mu_values(self):
         cfg = parse_config(MINIMAL)
         assert cfg.mu_values() == (1e-2, 1e-3, 1e-4, 1e-5)
+
+
+class TestDefaults:
+    def test_match_the_types(self):
+        """The defaults config repeats are those of the types that own
+        the values. boundary.amplitude differs on purpose: 1.0 in config
+        but 0.0 in BoundaryData, whose default preset "zero" ignores it.
+        A config that selects a ramp or a constant wall without an
+        amplitude gets a unit wall velocity, and the default bl_tol, 5%
+        of the amplitude, is SweepPlan's."""
+        cfg = parse_config(MINIMAL)
+        assert cfg.phys_params() == PhysParams()
+        assert cfg.time_config() == TimeConfig(t_end=0.1)
+        assert cfg.interior_deltas() == DEFAULT_INTERIOR_DELTAS
+        assert cfg.boundary_data() == BoundaryData(amplitude=1.0)
+        assert BoundaryData().amplitude == 0.0
+        assert cfg.bl_tol() == SweepPlan.bl_tol
 
 
 class TestRoundTrip:

@@ -24,6 +24,15 @@ class TestGridSpec:
         with pytest.raises(InvalidStateError):
             GridSpec(4)
 
+    def test_requires_integer(self):
+        """A float count is rejected, not rounded into cell centres that
+        make_initial_state cannot size; numpy integers are counts."""
+        for n in (8.5, 16.0):
+            with pytest.raises(InvalidStateError, match="n_cells must be "
+                                                        "an integer"):
+                GridSpec(n)
+        assert len(GridSpec(np.int64(16)).cell_centers) == 16
+
 
 class TestParams:
     def test_kappa_model_validation(self):
@@ -45,7 +54,8 @@ class TestParams:
     @pytest.mark.parametrize("make", [
         lambda: PhysParams(mu=np.nan), lambda: PhysParams(lam=np.nan),
         lambda: PhysParams(gamma=np.nan), lambda: KappaModel(kappa1=np.nan),
-        lambda: KappaModel(kappa2=np.nan), lambda: KappaModel(q=np.nan)])
+        lambda: KappaModel(kappa2=np.nan), lambda: KappaModel(q=np.nan),
+        lambda: PhysParams(lam=np.inf), lambda: KappaModel(q=np.inf)])
     def test_nan_rejected(self, make):
         with pytest.raises(InvalidStateError):
             make()
@@ -85,7 +95,9 @@ class TestBoundaryData:
         {"preset": "constant", "amplitude": float("inf")},
         {"preset": "cosine-ramp", "amplitude": 1.0, "ramp_period": 0.0},
         {"preset": "cosine-ramp", "amplitude": 1.0,
-         "ramp_period": float("nan")}])
+         "ramp_period": float("nan")},
+        {"preset": "cosine-ramp", "amplitude": 1.0,
+         "ramp_period": float("inf")}])
     def test_rejects_bad_data(self, kwargs):
         with pytest.raises(InvalidStateError):
             BoundaryData(**kwargs)

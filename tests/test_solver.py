@@ -190,12 +190,17 @@ class TestTimeConfig:
     @pytest.mark.parametrize("kwargs", [
         {"dt_min": 0.0, "dt_max": 0.0}, {"dt_min": -2.0, "dt_max": -1.0},
         {"dt_min": np.nan}, {"dt_max": np.nan}, {"t_end": np.nan},
-        {"t_end": np.inf}, {"cfl": np.nan}])
+        {"t_end": np.inf}, {"cfl": np.nan}, {"dt_max": np.inf},
+        {"snapshot_stride": 2.5}])
     def test_rejects_nonpositive_and_nan(self, kwargs):
         """Only constructed: with dt_min = dt_max = 0, run would halve a
         zero step forever."""
         with pytest.raises(ValueError):
             TimeConfig(**{"t_end": 1.0, **kwargs})
+
+    def test_stride_accepts_numpy_integer(self):
+        assert TimeConfig(t_end=1.0,
+                          snapshot_stride=np.int64(2)).snapshot_stride == 2
 
 
 class TestStableDt:
@@ -614,6 +619,8 @@ class TestLockstep:
     def test_rejects_negative_mu(self):
         with pytest.raises(ValueError):
             run_lockstep(*_lockstep_scenario(), (1e-2, -1e-3))
+        with pytest.raises(ValueError):
+            run_lockstep(*_lockstep_scenario(), (np.inf, 1e-3))
 
     def test_snapshot_hook_sees_each_snapshot(self, monkeypatch):
         """on_snapshot gets the batch state at t = 0 and at every

@@ -160,7 +160,7 @@ class TestSweepPlan:
                          initial=make_initial_state(grid, "uniform"))
 
     @pytest.mark.parametrize("mu_values", [(1e-2, np.nan, 1e-4),
-                                           (np.nan,)])
+                                           (np.nan,), (np.inf, 1e-2)])
     def test_rejects_nan(self, mu_values):
         with pytest.raises(ValueError):
             self._plan(mu_values)
@@ -182,7 +182,8 @@ class TestSweepPlan:
     @pytest.mark.parametrize("kwargs", [
         {"bl_tol": np.nan}, {"bl_tol": -1.0}, {"bl_tol": 0.0},
         {"interior_deltas": (0.7,)}, {"interior_deltas": (0.1, 0.5)},
-        {"interior_deltas": (0.0,)}, {"interior_deltas": (np.nan,)}])
+        {"interior_deltas": (0.0,)}, {"interior_deltas": (np.nan,)},
+        {"bl_tol": np.inf}, {"interior_deltas": ()}])
     def test_rejects_bad_thickness_settings(self, kwargs):
         """bl_tol and interior_deltas are checked before any run, not by
         bl_thickness and interior_w_grad after the whole sweep."""
@@ -196,6 +197,11 @@ class TestSweepPlan:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             self._plan((1e-2, 0.0))
+
+    def test_rejects_empty(self):
+        """Not only after the reference run, in the error norms."""
+        with pytest.raises(ValueError, match="mu_values must not be empty"):
+            self._plan(())
 
 
 def _synthetic_result(interior):
