@@ -147,12 +147,21 @@ def cmd_run(cfg: RunConfig, outdir: Path, limit: bool) -> int:
     return 0
 
 
-def _build_plan(cfg: RunConfig) -> SweepPlan:
+def _sweep(cfg: RunConfig, fits_path: Path):
+    """run_sweep on the config's plan; None, after writing fits_path
+    with the failure report, if the mu = 0 reference run aborted."""
     grid, params, bdry, initial, tcfg = _scenario(cfg)
-    return SweepPlan(mu_values=cfg.mu_values(), grid=grid, params=params,
+    plan = SweepPlan(mu_values=cfg.mu_values(), grid=grid, params=params,
                      bdry=bdry, time=tcfg, initial=initial,
                      bl_tol=cfg.bl_tol(),
                      interior_deltas=cfg.interior_deltas())
+    try:
+        return run_sweep(plan)
+    except RunAborted as exc:
+        fits_path.write_text(json.dumps(
+            {"config_hash": config_hash(cfg), "status": "aborted",
+             "failure": exc.report}, indent=2, sort_keys=True) + "\n")
+        return None
 
 
 def _fit_dict(fit):
@@ -169,8 +178,9 @@ def _status(result) -> list:
 
 
 def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
-    plan = _build_plan(cfg)
-    result = run_sweep(plan)
+    result = _sweep(cfg, outdir / "fits.json")
+    if result is None:
+        return 1
     tag = f"# config_hash={config_hash(cfg)}"
     # a failed run has no errors and no delta*: its row reads nan
     errors = np.array([(None,) * 3 if e is None else
@@ -194,8 +204,9 @@ def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
 
 
 def cmd_bl(cfg: RunConfig, outdir: Path) -> int:
-    plan = _build_plan(cfg)
-    result = run_sweep(plan)
+    result = _sweep(cfg, outdir / "bl_fits.json")
+    if result is None:
+        return 1
     tag = f"# config_hash={config_hash(cfg)}"
     _write_csv(outdir / "thickness.csv", tag, {
         "mu": np.array(result.mu_values),

@@ -22,7 +22,7 @@ from . import diagnostics as _diag
 from .core import (STATE_FIELDS, BoundaryData, FlowState, GridSpec,
                    PhysParams, Trajectory, check_field_types,
                    interpolate_to_nodes)
-from .eos import kappa as kappa_eval, sq_norm
+from .eos import dissipation_q, kappa as kappa_eval, sq_norm
 
 
 class StepFailure(Exception):
@@ -210,9 +210,9 @@ def _solve_blocks(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
 
 
 def _upwind_grad(f: np.ndarray, u: np.ndarray, dx: float,
-                 axis: int = 0) -> np.ndarray:
+                 axis: int) -> np.ndarray:
     """Upwind one-sided derivative of a node field against velocity u,
-    along the node axis of f (axis >= 0, or -1 for the last)."""
+    along the node axis of f: -1 for u, -2 for a 2-vector field."""
     i = (slice(None),) * (axis % f.ndim)
     d = (f[i + (slice(1, None),)] - f[i + (slice(None, -1),)]) / dx
     bwd = np.concatenate((d[i + (slice(None, 1),)], d), axis)
@@ -220,15 +220,13 @@ def _upwind_grad(f: np.ndarray, u: np.ndarray, dx: float,
     return np.where(u > 0, bwd, fwd)
 
 
-def _central_grad(f: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
-    """Central derivative of a node field along its node axis (axis >= 0),
-    one-sided at the walls."""
-    i = (slice(None),) * axis
+def _central_grad(f: np.ndarray, dx: float) -> np.ndarray:
+    """Central derivative of a 2-vector node field (..., N+1, 2) along
+    its node axis, one-sided at the walls."""
     g = np.empty_like(f)
-    g[i + (slice(1, -1),)] = ((f[i + (slice(2, None),)]
-                               - f[i + (slice(None, -2),)]) / (2 * dx))
-    g[i + (0,)] = (f[i + (1,)] - f[i + (0,)]) / dx
-    g[i + (-1,)] = (f[i + (-1,)] - f[i + (-2,)]) / dx
+    g[..., 1:-1, :] = (f[..., 2:, :] - f[..., :-2, :]) / (2 * dx)
+    g[..., 0, :] = (f[..., 1, :] - f[..., 0, :]) / dx
+    g[..., -1, :] = (f[..., -1, :] - f[..., -2, :]) / dx
     return g
 
 
@@ -330,12 +328,6 @@ def advance_velocity(state: FlowState, grid: GridSpec, dt: float,
     return u_new
 
 
-def _as_column(x: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """The node field x, shaped to broadcast against like, which is x's
-    shape for one component or x's shape plus (m,) for m components."""
-    return x.reshape(x.shape + (1,) * (like.ndim - x.ndim))
-
-
 def transverse_system(grid: GridSpec, params: PhysParams, dt: float,
                       rho_new: np.ndarray, u_new: np.ndarray,
                       w: np.ndarray, b: np.ndarray,
@@ -343,28 +335,26 @@ def transverse_system(grid: GridSpec, params: PhysParams, dt: float,
                       f_w: Optional[np.ndarray] = None):
     """Implicit system for w at the interior nodes.
 
-    w, b and f_w have shape (N+1,) for one component or (N+1, 2) for
-    both; the components share the matrix, and rhs has their shape.
-    wl, wr are the Dirichlet values at the end-of-step time, one per
-    component. A batch adds a leading member axis to rho_new, u_new, w
-    and b, and params.mu is then an (R, 1) column.
+    w, b and f_w have shape (N+1, 2); the two components share the
+    matrix, and rhs has shape (N-1, 2). wl, wr are the Dirichlet values
+    at the end-of-step time, one per component or one for both. A batch
+    adds a leading member axis to rho_new, u_new, w and b, and params.mu
+    is then an (R, 1) column.
     """
     dx = grid.dx
-    axis = u_new.ndim - 1                       # the node axis
     rho_n = interpolate_to_nodes(rho_new)
-    rho_c = _as_column(rho_n, w)
-    u = _as_column(u_new, w)
-    adv = u * _upwind_grad(w, u, dx, axis)
-    b_x = _central_grad(b, dx, axis)
+    rho_c = rho_n[..., None]
+    u = u_new[..., None]
+    adv = u * _upwind_grad(w, u, dx, axis=-2)
+    b_x = _central_grad(b, dx)
     rhs = rho_c * w - dt * (rho_c * adv - b_x)
     if f_w is not None:
         rhs = rhs + dt * f_w
     a = params.mu * dt / dx ** 2
     lower, diag, upper = _diffusion_bands(rho_n[..., 1:-1], a)
-    i = (slice(None),) * axis
-    rhs_i = rhs[i + (slice(1, -1),)].copy()
-    rhs_i[i + (0,)] += a * wl
-    rhs_i[i + (-1,)] += a * wr
+    rhs_i = rhs[..., 1:-1, :].copy()
+    rhs_i[..., 0, :] += a * wl
+    rhs_i[..., -1, :] += a * wr
     return lower, diag, upper, rhs_i
 
 
@@ -429,7 +419,7 @@ def _advance_transverse_limit(grid: GridSpec, dt: float, rho: np.ndarray,
     m = rho_n_old * w
     m_up = np.where(u_c > 0, m[..., :-1, :], m[..., 1:, :])
     flux = u_c * m_up                           # at cell centers
-    b_x = _central_grad(b, dx, axis=b.ndim - 2)
+    b_x = _central_grad(b, dx)
     m_new = np.empty_like(m)
     m_new[..., 1:-1, :] = (m[..., 1:-1, :]
                            - (dt / dx) * np.diff(flux, axis=-2)
@@ -448,20 +438,19 @@ def induction_system(grid: GridSpec, params: PhysParams, dt: float,
                      f_b: Optional[np.ndarray] = None):
     """Implicit system for b at the interior nodes.
 
-    w, b and f_b have shape (N+1,) for one component or (N+1, 2) for
-    both; the components share the matrix, and rhs has their shape. A
-    batch adds a leading member axis to u_new, w and b.
+    w, b and f_b have shape (N+1, 2); the two components share the
+    matrix, and rhs has shape (N-1, 2). A batch adds a leading member
+    axis to u_new, w and b.
     """
     dx = grid.dx
-    axis = u_new.ndim - 1                       # the node axis
-    flux = _as_column(u_new, b) * b - w
-    rhs = b - dt * _central_grad(flux, dx, axis)
+    flux = u_new[..., None] * b - w
+    rhs = b - dt * _central_grad(flux, dx)
     if f_b is not None:
         rhs = rhs + dt * f_b
     lower, diag, upper = _diffusion_bands(
         np.ones(u_new.shape[:-1] + (grid.n_cells - 1,)),
         params.nu * dt / dx ** 2)
-    return lower, diag, upper, rhs[(slice(None),) * axis + (slice(1, -1),)]
+    return lower, diag, upper, rhs[..., 1:-1, :]
 
 
 def advance_induction(state: FlowState, grid: GridSpec, dt: float,
@@ -500,8 +489,7 @@ def temperature_system(grid: GridSpec, params: PhysParams, dt: float,
     u_x = np.diff(u_new) / dx
     w_x = np.diff(w_new, axis=-2) / dx
     b_x = np.diff(b_new, axis=-2) / dx
-    heat = (params.lam * u_x ** 2 + params.mu * sq_norm(w_x)
-            + params.nu * sq_norm(b_x))
+    heat = dissipation_q(u_x, w_x, b_x, params)
     p = params.gamma * rho_new * theta
     rhs = (c_v * rho_old * theta / dt - np.diff(flux) / dx
            - p * u_x + heat)

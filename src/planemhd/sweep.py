@@ -292,6 +292,21 @@ def _upper_hull(tau: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.array(hull)
 
 
+def _envelope(tau: np.ndarray, g: np.ndarray) -> Tuple[float, float, float]:
+    """(c1, c2, mean slack) of the line c1*tau + c2 that dominates the
+    points (tau, g), tau increasing and distinct, with the least mean
+    slack. A dominating line's mean slack is its value at the mean tau
+    less the mean g, and every upper-hull edge dominates, so the
+    optimum is the upper-hull edge over the mean tau."""
+    hull = _upper_hull(tau, g)
+    # the mean may round onto an end point of tau
+    e = np.clip(np.searchsorted(tau[hull], tau.mean()), 1, len(hull) - 1)
+    j, k = hull[e - 1], hull[e]
+    c1 = (g[k] - g[j]) / (tau[k] - tau[j])
+    c2 = g[j] - c1 * tau[j]
+    return float(c1), float(c2), float(((c1 * tau + c2) - g).mean())
+
+
 def thickness_scaling_report(result: SweepResult) -> ThicknessReport:
     """Fit delta*(mu) ~ mu**alpha and tabulate the interior transverse
     gradient norm against tau = sqrt(mu)/delta with an affine envelope
@@ -299,11 +314,10 @@ def thickness_scaling_report(result: SweepResult) -> ThicknessReport:
 
     The envelope is the affine function that dominates every tabulated
     point while minimizing the mean slack (the least upper affine bound
-    in the l1 sense). Its optimum lies along an edge of the upper convex
-    hull of the scatter, so the fit reduces to scanning hull edges. The
-    residual is the achieved mean slack relative to the largest
-    tabulated norm, so it is small exactly when the binding points hug
-    an affine profile."""
+    in the l1 sense): the edge of the upper convex hull of the scatter
+    over the mean tau (see _envelope). The residual is the achieved
+    mean slack relative to the largest tabulated norm, so it is small
+    exactly when the binding points hug an affine profile."""
     points = [(mu, d) for mu, d, sat in
               zip(result.mu_values, result.deltas, result.saturated)
               if d is not None and not sat]
@@ -335,23 +349,10 @@ def thickness_scaling_report(result: SweepResult) -> ThicknessReport:
                          "values")
     tau = np.array(sorted(binding))
     g = np.array([binding[t] for t in tau])
-    hull = _upper_hull(tau, g)
-    best = None
-    for j, k in zip(hull[:-1], hull[1:]):
-        c1 = (g[k] - g[j]) / (tau[k] - tau[j])
-        c2 = g[j] - c1 * tau[j]
-        slack = (c1 * tau + c2) - g
-        if slack.min() < -1e-9 * max(abs(g).max(), 1.0):
-            continue
-        cand = (float(slack.mean()), float(c1), float(c2))
-        if best is None or cand[0] < best[0]:
-            best = cand
-    if best is None:
-        raise ValueError("no dominating affine envelope found")
-    mean_slack, c1, c2_env = best
+    c1, c2, mean_slack = _envelope(tau, g)
     rel = float(mean_slack / max(g.max(), 1e-300))
     return ThicknessReport(alpha_fit=alpha_fit,
                            excluded_saturated=excluded,
                            tau_table=tuple(rows),
-                           envelope_c1=float(c1), envelope_c2=c2_env,
+                           envelope_c1=c1, envelope_c2=c2,
                            envelope_rel_residual=rel)

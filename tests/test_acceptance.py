@@ -12,15 +12,14 @@ import pytest
 
 import conftest
 
-from planemhd.core import (BoundaryData, FlowState, GridSpec, PhysParams,
+from planemhd.core import (BoundaryData, GridSpec, PhysParams,
                            make_initial_state)
 from planemhd.diagnostics import (energy_balance_residual,
                                   entropy_monotonicity, error_norms)
 from planemhd.mms import spatial_order, temporal_order
-from planemhd.solver import (TimeConfig, induction_system, run, run_limit,
-                             step, temperature_system, transverse_system,
-                             tridiag_solve, velocity_system)
+from planemhd.solver import TimeConfig, run, run_limit, step
 from planemhd.sweep import SweepPlan, run_sweep, thickness_scaling_report
+from planemhd.verify import check_oracle_equivalence
 
 
 def _report(num, name, passed, detail):
@@ -88,44 +87,11 @@ def test_criterion_02_uniform_steady_state():
             f"max deviation {dev:.3e} <= 1e-13 after 1000 steps")
 
 
-def _dense(lower, diag, upper):
-    a = np.diag(diag)
-    a += np.diag(upper[:-1], 1)
-    a += np.diag(lower[1:], -1)
-    return a
-
-
 def test_criterion_03_implicit_solve_oracle():
-    grid = GridSpec(16)
-    params = PhysParams(mu=0.05)
-    rng = np.random.default_rng(42)
-    dt = 1e-3
-    worst = 0.0
-    for _ in range(100):
-        n = grid.n_cells
-        u = rng.normal(0, 0.3, n + 1)
-        u[0] = u[-1] = 0.0
-        b = rng.normal(0, 0.3, (n + 1, 2))
-        b[0] = b[-1] = 0.0
-        s = FlowState(t=0.0, rho=0.5 + rng.random(n),
-                      theta=0.5 + rng.random(n), u=u,
-                      w=rng.normal(0, 0.5, (n + 1, 2)), b=b)
-        systems = [velocity_system(grid, params, dt, s.rho, s.u, s.theta,
-                                   s.b)]
-        for k in (0, 1):
-            systems.append(transverse_system(
-                grid, params, dt, s.rho, s.u, s.w[:, k], s.b[:, k],
-                0.3, -0.2))
-            systems.append(induction_system(
-                grid, params, dt, s.u, s.w[:, k], s.b[:, k]))
-        systems.append(temperature_system(
-            grid, params, dt, s.rho, s.rho, s.theta, s.u, s.w, s.b))
-        for lower, diag, upper, rhs in systems:
-            x = tridiag_solve(lower, diag, upper, rhs)
-            x_ref = np.linalg.solve(_dense(lower, diag, upper), rhs)
-            worst = max(worst, float(np.abs(x - x_ref).max()))
-    _report(3, "implicit solve oracle", worst <= 1e-12,
-            f"worst deviation {worst:.3e} <= 1e-12 over 100 states")
+    check = check_oracle_equivalence(n_states=100, seed=42)
+    _report(3, "implicit solve oracle", check["passed"],
+            f"worst deviation {check['value']:.3e} <= "
+            f"{check['threshold']:g} over 100 states")
 
 
 def test_criterion_04_manufactured_orders():

@@ -11,7 +11,7 @@ import pytest
 import planemhd
 from planemhd import cli
 from planemhd.cli import main
-from planemhd.config import parse_config
+from planemhd.config import config_hash, parse_config
 from planemhd.core import interpolate_to_nodes, make_initial_state
 from planemhd.diagnostics import WEIGHT_ORDERS
 from planemhd.solver import run
@@ -204,6 +204,23 @@ class TestSweepCommand:
         assert main(["bl", "--config", cfg, "--out", str(out)]) == 1
         rows = (out / "thickness.csv").read_text().splitlines()
         assert rows[3] == "0.001,nan,failed"
+
+    @pytest.mark.parametrize("command, name", [("sweep", "fits.json"),
+                                               ("bl", "bl_fits.json")])
+    def test_reference_abort_reported(self, tmp_path, command, name):
+        """A mu = 0 reference run that aborts is written to the fits file,
+        as `run` writes it to summary.json, not ended by a traceback."""
+        text = SWEEP_CFG.replace("t_end = 0.02",
+                                 "t_end = 1\ndt_min = 0.5\ndt_max = 0.5")
+        out = tmp_path / "out"
+        assert main([command, "--config", _write(tmp_path, text),
+                     "--out", str(out)]) == 1
+        fits = json.loads((out / name).read_text())
+        assert fits == {"config_hash": config_hash(parse_config(text)),
+                        "status": "aborted",
+                        "failure": {"t": 0.0,
+                                    "reason": "CFL step below dt_min",
+                                    "field": "u", "index": 0}}
 
     def test_bl_outputs(self, tmp_path):
         cfg = _write(tmp_path, SWEEP_CFG)

@@ -10,9 +10,8 @@ from planemhd.core import interpolate_to_nodes
 from planemhd.solver import (ForcingSpec, RunAborted, StepFailure,
                              TimeConfig, _central_grad, _solve_blocks,
                              _thomas_solve, advance_density,
-                             advance_induction, advance_transverse,
-                             induction_system, run, run_limit, run_lockstep,
-                             stable_dt, step, transverse_system,
+                             advance_induction, advance_transverse, run,
+                             run_limit, run_lockstep, stable_dt, step,
                              tridiag_solve)
 
 # tridiag_solve (LAPACK dgtsv where numpy's OpenBLAS exports it) and its
@@ -258,34 +257,6 @@ def _sine_state(grid, which):
                                      "w": w, "b": b})
 
 
-class TestPairedSystems:
-    """Both components in one builder call give the matrix and, column by
-    column, bit for bit the right-hand side of the per-component call."""
-
-    def test_transverse_and_induction(self):
-        grid = GridSpec(16)
-        n = grid.n_cells
-        rng = np.random.default_rng(5)
-        params = PhysParams(mu=0.05, nu=0.7)
-        rho = 0.5 + rng.random(n)
-        u = rng.normal(0, 0.3, n + 1)
-        w, b, f = rng.normal(size=(3, n + 1, 2))
-        wl, wr = np.array([0.3, -0.1]), np.array([-0.2, 0.4])
-        paired = (transverse_system(grid, params, 1e-3, rho, u, w, b,
-                                    wl, wr, f),
-                  induction_system(grid, params, 1e-3, u, w, b, f))
-        for k in (0, 1):
-            single = (transverse_system(grid, params, 1e-3, rho, u,
-                                        w[:, k], b[:, k], wl[k], wr[k],
-                                        f[:, k]),
-                      induction_system(grid, params, 1e-3, u, w[:, k],
-                                       b[:, k], f[:, k]))
-            for both, one in zip(paired, single):
-                for band in range(3):
-                    assert np.array_equal(both[band], one[band])
-                assert np.array_equal(both[3][:, k], one[3])
-
-
 class TestImplicitDiffusionEigenmode:
     """sin(pi x) is an eigenvector of the discrete Laplacian, so one
     implicit step must divide it by 1 + coeff*dt*lambda exactly."""
@@ -500,7 +471,7 @@ class TestLimitSystem:
             for k in (0, 1):
                 m = rho_n_old * state.w[:, k]
                 flux = u_c * np.where(u_c > 0, m[:-1], m[1:])
-                b_x = _central_grad(state.b[:, k], dx)
+                b_x = _central_grad(state.b, dx)[:, k]
                 m_new = np.empty_like(m)
                 m_new[1:-1] = (m[1:-1] - (dt / dx) * np.diff(flux)
                                + dt * b_x[1:-1])

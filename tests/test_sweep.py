@@ -13,9 +13,9 @@ from planemhd.diagnostics import (ErrorNorms, error_norms,
                                   interior_sup_deviation, interior_w_grad)
 from planemhd.solver import TimeConfig, run, run_lockstep
 from planemhd.sweep import (BL_DELTA_CEILING, BLThickness, SweepPlan,
-                            SweepResult, _summarize, _upper_hull,
-                            bl_thickness, fit_power_law, run_sweep,
-                            thickness_scaling_report)
+                            SweepResult, _envelope, _summarize,
+                            _upper_hull, bl_thickness, fit_power_law,
+                            run_sweep, thickness_scaling_report)
 
 
 class TestFitPowerLaw:
@@ -71,6 +71,56 @@ class TestUpperHull:
         g = np.array([0.5, 0.9, 1.0])
         hull = _upper_hull(tau, g)
         assert len(hull) == 3
+
+
+def _scan_envelope(tau, g):
+    """Reference for _envelope: scan the upper-hull edges for the
+    dominating one with the least mean slack."""
+    hull = _upper_hull(tau, g)
+    best = None
+    for j, k in zip(hull[:-1], hull[1:]):
+        c1 = (g[k] - g[j]) / (tau[k] - tau[j])
+        c2 = g[j] - c1 * tau[j]
+        slack = (c1 * tau + c2) - g
+        if slack.min() < -1e-9 * max(abs(g).max(), 1.0):
+            continue
+        cand = (float(slack.mean()), float(c1), float(c2))
+        if best is None or cand[0] < best[0]:
+            best = cand
+    return best
+
+
+def _scatters(seed):
+    """Random (tau, g) scatters with distinct increasing tau: general
+    ones, ones with collinear points, and ones whose mean tau is a hull
+    vertex; and one whose mean tau rounds to its least tau."""
+    yield 0.75 + np.arange(3) * np.spacing(0.75), np.array([0, 1e-16, 0])
+    rng = np.random.default_rng(seed)
+    for n in range(2, 12):
+        tau = np.unique(rng.random(n))
+        yield tau, rng.normal(size=len(tau))
+        line = 2.0 - 3.0 * tau
+        yield tau, np.where(rng.random(len(tau)) < 0.5, line,
+                            line - rng.random(len(tau)))
+        # symmetric tau about its middle point, which tops the scatter
+        half = np.sort(rng.random(n))
+        tau = np.concatenate((-half[::-1], [0.0], half))
+        g = -np.abs(tau) * rng.random(len(tau))
+        g[n] = 1.0
+        yield tau, g
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_hull_edge_scan(self, seed):
+        """The upper-hull edge over the mean tau dominates every point
+        and has the least mean slack of the dominating hull edges."""
+        for tau, g in _scatters(seed):
+            c1, c2, slack = _envelope(tau, g)
+            scale = np.abs(g).max() + abs(c1) * np.abs(tau).max()
+            assert ((c1 * tau + c2) - g).min() >= -1e-12 * scale
+            assert slack == pytest.approx(_scan_envelope(tau, g)[0],
+                                          rel=1e-12, abs=1e-12 * scale)
 
 
 def _layer_trajectory(grid, ell, amplitude=1.0):
