@@ -21,7 +21,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, config_hash, parse_config, \
     render_config
 from .core import interpolate_to_nodes, make_initial_state
-from .solver import RunAborted, run, run_limit
+from .solver import RunAborted, run
 from .sweep import SweepPlan, run_sweep, thickness_scaling_report
 from . import verify as verify_suites
 
@@ -112,11 +112,10 @@ def _emit_trajectory(outdir: Path, cfg: RunConfig, traj, grid) -> None:
                {name: diag[name] for name in diag.dtype.names})
 
 
-def _write_summary(outdir: Path, cfg: RunConfig, payload: dict) -> None:
-    payload = {"config_hash": config_hash(cfg),
-               "resolved_config": render_config(cfg), **payload}
-    (outdir / "summary.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
+    """Write payload and the config hash as sorted, indented JSON."""
+    path.write_text(json.dumps({"config_hash": config_hash(cfg), **payload},
+                               indent=2, sort_keys=True) + "\n")
 
 
 def _scenario(cfg: RunConfig):
@@ -132,19 +131,19 @@ def cmd_run(cfg: RunConfig, outdir: Path, limit: bool) -> int:
     if limit:
         params = replace(params, mu=0.0)
     try:
-        traj = (run_limit if limit else run)(initial, grid, params, bdry,
-                                             tcfg)
+        traj = run(initial, grid, params, bdry, tcfg)
     except RunAborted as exc:
-        _write_summary(outdir, cfg, {"status": "aborted",
-                                     "failure": exc.report})
-        return 1
-    _emit_trajectory(outdir, cfg, traj, grid)
-    _write_summary(outdir, cfg, {
-        "status": "ok", "t_final": traj.snapshot_times[-1],
-        "n_steps": len(traj.diagnostics) - 1,
-        "final_mass": float(traj.diagnostics["mass"][-1]),
-        "final_energy": float(traj.diagnostics["total_energy"][-1])})
-    return 0
+        code, payload = 1, {"status": "aborted", "failure": exc.report}
+    else:
+        _emit_trajectory(outdir, cfg, traj, grid)
+        code, payload = 0, {
+            "status": "ok", "t_final": traj.snapshot_times[-1],
+            "n_steps": len(traj.diagnostics) - 1,
+            "final_mass": float(traj.diagnostics["mass"][-1]),
+            "final_energy": float(traj.diagnostics["total_energy"][-1])}
+    _write_json(outdir / "summary.json", cfg,
+                {"resolved_config": render_config(cfg), **payload})
+    return code
 
 
 def _sweep(cfg: RunConfig, fits_path: Path):
@@ -158,9 +157,8 @@ def _sweep(cfg: RunConfig, fits_path: Path):
     try:
         return run_sweep(plan)
     except RunAborted as exc:
-        fits_path.write_text(json.dumps(
-            {"config_hash": config_hash(cfg), "status": "aborted",
-             "failure": exc.report}, indent=2, sort_keys=True) + "\n")
+        _write_json(fits_path, cfg,
+                    {"status": "aborted", "failure": exc.report})
         return None
 
 
@@ -192,13 +190,11 @@ def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
         "gradient_error": errors[:, 2],
         "delta_star": np.array(result.deltas, dtype=float),
         "status": _status(result)})
-    fits = {"config_hash": config_hash(cfg),
-            "rate": _fit_dict(result.rate_fit),
-            "thickness": _fit_dict(result.thickness_fit),
-            "scaled_w_grad": result.scaled_w_grad,
-            "failures": result.failures}
-    (outdir / "fits.json").write_text(
-        json.dumps(fits, indent=2, sort_keys=True) + "\n")
+    _write_json(outdir / "fits.json", cfg, {
+        "rate": _fit_dict(result.rate_fit),
+        "thickness": _fit_dict(result.thickness_fit),
+        "scaled_w_grad": result.scaled_w_grad,
+        "failures": result.failures})
     ok = all(f is None for f in result.failures)
     return 0 if ok else 1
 
@@ -215,34 +211,29 @@ def cmd_bl(cfg: RunConfig, outdir: Path) -> int:
     try:
         report = thickness_scaling_report(result)
     except ValueError as exc:
-        (outdir / "bl_fits.json").write_text(json.dumps(
-            {"config_hash": config_hash(cfg), "error": str(exc)},
-            indent=2) + "\n")
+        _write_json(outdir / "bl_fits.json", cfg, {"error": str(exc)})
         return 1
     _write_csv(outdir / "tau_table.csv", tag, {
         name: np.array([getattr(r, name) for r in report.tau_table])
         for name in ("mu", "delta", "tau", "w_grad_interior")})
-    (outdir / "bl_fits.json").write_text(json.dumps({
-        "config_hash": config_hash(cfg),
+    _write_json(outdir / "bl_fits.json", cfg, {
         "alpha": _fit_dict(report.alpha_fit),
         "excluded_saturated": list(report.excluded_saturated),
         "envelope_c1": report.envelope_c1,
         "envelope_c2": report.envelope_c2,
-        "envelope_rel_residual": report.envelope_rel_residual,
-    }, indent=2, sort_keys=True) + "\n")
+        "envelope_rel_residual": report.envelope_rel_residual})
     ok = all(f is None for f in result.failures)
     return 0 if ok else 1
 
 
 def cmd_verify(cfg: RunConfig, outdir: Path) -> int:
     report = verify_suites.run_all()
-    payload = {"config_hash": config_hash(cfg), "checks": report,
-               "all_passed": all(c["passed"] for c in report.values())}
-    (outdir / "verify_report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    all_passed = all(c["passed"] for c in report.values())
+    _write_json(outdir / "verify_report.json", cfg,
+                {"checks": report, "all_passed": all_passed})
     for name, check in report.items():
         print(f"{name}: {'pass' if check['passed'] else 'FAIL'}")
-    return 0 if payload["all_passed"] else 1
+    return 0 if all_passed else 1
 
 
 def main(argv=None) -> int:

@@ -44,16 +44,6 @@ def weight_omega(x):
     return np.minimum(x, 1.0 - x)
 
 
-def weight_omega_delta(x, delta: float):
-    """Plateau cutoff: x on [0,delta], delta in the middle, 1-x near 1."""
-    if not 0 < delta < 0.5:
-        raise ValueError("delta must lie in (0, 1/2)")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or np.any(x > 1):
-        raise ValueError("weight_omega_delta requires x in [0, 1]")
-    return np.minimum(np.minimum(x, 1.0 - x), delta)
-
-
 def total_energy(fields: Union[FlowState, Trajectory], grid: GridSpec,
                  params: PhysParams):
     """Midpoint-rule integral of the total energy density.

@@ -545,8 +545,8 @@ def run_lockstep(initial: FlowState, grid: GridSpec, params: PhysParams,
                                                 None]] = None,
                  store: Optional[Sequence[int]] = None
                  ) -> List[Union[Trajectory, np.ndarray, RunAborted]]:
-    """Integrate one member per mu value from the same initial state, all
-    on one time grid, to t_end.
+    """Integrate one member per mu value from initial, one state of grid
+    at t = 0, all on one time grid, to t_end.
 
     The members are the rows of one batch state, and each step is one
     step() over the batch. Its dt is the smallest CFL step over the
@@ -568,6 +568,11 @@ def run_lockstep(initial: FlowState, grid: GridSpec, params: PhysParams,
     mu = np.array(mu_values, dtype=float)
     if mu.ndim != 1 or not np.all((mu >= 0) & (mu < np.inf)):  # NaN fails too
         raise ValueError("mu_values must be finite and nonnegative")
+    if initial.t != 0.0:
+        raise ValueError(f"initial must be at t = 0, not t = {initial.t}")
+    if initial.rho.shape != (grid.n_cells,):
+        raise ValueError(f"initial must be one state of {grid.n_cells} "
+                         f"cells, not rho of shape {initial.rho.shape}")
     t_end = cfg.t_end
     members = list(range(len(mu)))      # the member in each batch row
     stored = set(members if store is None else store)
@@ -683,12 +688,3 @@ def run(initial: FlowState, grid: GridSpec, params: PhysParams,
     if isinstance(out, RunAborted):
         raise out
     return out
-
-
-def run_limit(initial: FlowState, grid: GridSpec, params: PhysParams,
-              bdry: BoundaryData, cfg: TimeConfig,
-              forcing: Optional[ForcingSpec] = None) -> Trajectory:
-    """Integrate the mu = 0 limit system; params.mu must be exactly 0."""
-    if params.mu != 0.0:
-        raise ValueError("run_limit requires params.mu == 0")
-    return run(initial, grid, params, bdry, cfg, forcing)

@@ -119,7 +119,6 @@ class RunSummary:
     min_rho: float
     max_abs_w: float
     max_w_grad_l2: float
-    max_weighted_w_grad: float
 
 
 @dataclass
@@ -145,8 +144,7 @@ def _summarize(diagnostics: np.ndarray, max_abs_w: float) -> RunSummary:
         max_rho=float(d["max_rho"].max()),
         min_rho=float(d["min_rho"].min()),
         max_abs_w=max_abs_w,
-        max_w_grad_l2=float(d["w_grad_l2"].max()),
-        max_weighted_w_grad=float(d["weighted_w_grad_1"].max()))
+        max_w_grad_l2=float(d["w_grad_l2"].max()))
 
 
 class _Comparison:
@@ -308,9 +306,10 @@ def _envelope(tau: np.ndarray, g: np.ndarray) -> Tuple[float, float, float]:
 
 
 def thickness_scaling_report(result: SweepResult) -> ThicknessReport:
-    """Fit delta*(mu) ~ mu**alpha and tabulate the interior transverse
-    gradient norm against tau = sqrt(mu)/delta with an affine envelope
-    fitted over the points with tau <= 1.
+    """Report run_sweep's fit delta*(mu) ~ mu**alpha (thickness_fit) and
+    tabulate the interior transverse gradient norm against
+    tau = sqrt(mu)/delta with an affine envelope fitted over the points
+    with tau <= 1.
 
     The envelope is the affine function that dominates every tabulated
     point while minimizing the mean slack (the least upper affine bound
@@ -318,15 +317,11 @@ def thickness_scaling_report(result: SweepResult) -> ThicknessReport:
     over the mean tau (see _envelope). The residual is the achieved
     mean slack relative to the largest tabulated norm, so it is small
     exactly when the binding points hug an affine profile."""
-    points = [(mu, d) for mu, d, sat in
-              zip(result.mu_values, result.deltas, result.saturated)
-              if d is not None and not sat]
-    excluded = tuple(mu for mu, sat in
-                     zip(result.mu_values, result.saturated) if sat)
-    if len(points) < 3:
+    if result.thickness_fit is None:
         raise ValueError("need at least 3 non-saturated thickness "
                          "estimates for a fit")
-    alpha_fit = fit_power_law(points)
+    excluded = tuple(mu for mu, sat in
+                     zip(result.mu_values, result.saturated) if sat)
     rows = []
     for delta, vals in sorted(result.interior_w_grads.items()):
         for mu, g in zip(result.mu_values, vals):
@@ -351,7 +346,7 @@ def thickness_scaling_report(result: SweepResult) -> ThicknessReport:
     g = np.array([binding[t] for t in tau])
     c1, c2, mean_slack = _envelope(tau, g)
     rel = float(mean_slack / max(g.max(), 1e-300))
-    return ThicknessReport(alpha_fit=alpha_fit,
+    return ThicknessReport(alpha_fit=result.thickness_fit,
                            excluded_saturated=excluded,
                            tau_table=tuple(rows),
                            envelope_c1=c1, envelope_c2=c2,

@@ -16,10 +16,10 @@ from planemhd.core import (BoundaryData, GridSpec, PhysParams,
                            make_initial_state)
 from planemhd.diagnostics import (energy_balance_residual,
                                   entropy_monotonicity, error_norms)
-from planemhd.mms import spatial_order, temporal_order
-from planemhd.solver import TimeConfig, run, run_limit, step
+from planemhd.solver import TimeConfig, run, step
 from planemhd.sweep import SweepPlan, run_sweep, thickness_scaling_report
-from planemhd.verify import check_oracle_equivalence
+from planemhd.verify import (check_manufactured_orders,
+                             check_oracle_equivalence)
 
 
 def _report(num, name, passed, detail):
@@ -95,12 +95,12 @@ def test_criterion_03_implicit_solve_oracle():
 
 
 def test_criterion_04_manufactured_orders():
-    params = PhysParams(mu=0.05)
-    s_order, s_errs = spatial_order(params)
-    t_order, t_errs = temporal_order(params)
-    ok = s_order >= 1.7 and t_order >= 0.8
-    _report(4, "manufactured-solution orders", ok,
-            f"spatial {s_order:.2f} >= 1.7, temporal {t_order:.2f} >= 0.8")
+    check = check_manufactured_orders()
+    _report(4, "manufactured-solution orders", check["passed"],
+            f"spatial {check['spatial_order']:.2f} >= "
+            f"{check['spatial_threshold']:g}, temporal "
+            f"{check['temporal_order']:.2f} >= "
+            f"{check['temporal_threshold']:g}")
 
 
 @pytest.fixture(scope="module")
@@ -157,14 +157,14 @@ def test_criterion_07_degenerate_limit():
     cfg = TimeConfig(t_end=0.5)
     # driven case: wall data cannot excite w or b in the limit system
     bdry = BoundaryData.cosine_ramp(1.0, 0.25)
-    driven = run_limit(make_initial_state(grid, "transverse-rest", bdry),
-                       grid, params0, bdry, cfg)
+    driven = run(make_initial_state(grid, "transverse-rest", bdry),
+                 grid, params0, bdry, cfg)
     wmax = float(np.abs(driven.w).max())
     bmax = float(np.abs(driven.b).max())
     # vanishing-mu case on shared data must reproduce rho, u, theta
     init = make_initial_state(grid, "bump")
     zero = BoundaryData.zero()
-    ref = run_limit(init, grid, params0, zero, cfg)
+    ref = run(init, grid, params0, zero, cfg)
     traj = run(init, grid, replace(params0, mu=1e-12), zero, cfg)
     dx = grid.dx
     worst = max(float(np.sqrt(((getattr(traj, f) - getattr(ref, f)) ** 2)

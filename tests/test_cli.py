@@ -231,6 +231,28 @@ class TestSweepCommand:
         assert "alpha" in fits or "error" in fits
 
 
+class TestVerifyCommand:
+    @pytest.mark.parametrize("passed", [True, False])
+    def test_report_and_exit_code(self, tmp_path, monkeypatch, capsys,
+                                  passed):
+        """verify_report.json holds every check and the config hash, and
+        the command exits 1 when any check fails."""
+        checks = {"first": {"passed": True, "value": 0.0},
+                  "second": {"passed": passed, "value": 1.0}}
+        monkeypatch.setattr(planemhd.verify, "run_all", lambda: checks)
+        out = tmp_path / "out"
+        rc = main(["verify", "--config", _write(tmp_path, RUN_CFG),
+                   "--out", str(out)])
+        assert rc == (0 if passed else 1)
+        report = (out / "verify_report.json").read_text()
+        assert json.loads(report) == {
+            "config_hash": config_hash(parse_config(RUN_CFG)),
+            "checks": checks, "all_passed": passed}
+        assert report.endswith("}\n")
+        assert capsys.readouterr().out == (
+            f"first: pass\nsecond: {'pass' if passed else 'FAIL'}\n")
+
+
 @pytest.mark.parametrize("cores", [1, 2])
 def test_write_csv_blocks_match_one_format(tmp_path, monkeypatch, cores):
     """A file of several blocks, formatted in this process (one core) or

@@ -7,8 +7,7 @@ from planemhd.diagnostics import (DIAGNOSTICS_DTYPE, WEIGHT_ORDERS,
                                   energy_balance_residual,
                                   entropy_monotonicity, error_norms,
                                   interior_sup_deviation, interior_w_grad,
-                                  record, total_energy, weight_omega,
-                                  weight_omega_delta)
+                                  record, total_energy, weight_omega)
 from planemhd.solver import TimeConfig, _with_mu, run
 
 
@@ -20,17 +19,6 @@ class TestWeights:
     def test_omega_rejects_outside_domain(self):
         with pytest.raises(ValueError):
             weight_omega([-0.1])
-
-    def test_omega_delta_plateau(self):
-        x = np.array([0.05, 0.2, 0.5, 0.8, 0.95])
-        np.testing.assert_allclose(weight_omega_delta(x, 0.1),
-                                   [0.05, 0.1, 0.1, 0.1, 0.05])
-
-    def test_omega_delta_bounds(self):
-        with pytest.raises(ValueError):
-            weight_omega_delta([0.5], 0.6)
-        with pytest.raises(ValueError):
-            weight_omega_delta([0.5], 0.0)
 
 
 def _state_with_w(grid, w_profile):

@@ -13,7 +13,7 @@ class TestManufacturedFields:
     def test_steady_state_is_admissible(self):
         grid = GridSpec(64)
         mms = manufactured_steady(PARAMS)
-        state = mms.initial_state(grid)
+        state = mms.sampled_state(grid, 0.0)
         assert np.all(state.rho > 0)
         assert state.u[0] == 0.0 and state.u[-1] == 0.0
         assert np.all(state.b[0] == 0.0) and np.all(state.b[-1] == 0.0)
@@ -53,7 +53,7 @@ class TestForcingConsistency:
         grid = GridSpec(64)
         mms = builder(PARAMS)
         dt = 5e-4
-        state = mms.initial_state(grid)
+        state = mms.sampled_state(grid, 0.0)
         advanced = step(state, grid, dt, PARAMS, BoundaryData.zero(),
                         mms.forcing)
         exact = mms.sampled_state(grid, dt)
@@ -68,7 +68,7 @@ class TestForcingConsistency:
         grid = GridSpec(64)
         mms = manufactured_steady(PARAMS)
         dt = 5e-3
-        state = mms.initial_state(grid)
+        state = mms.sampled_state(grid, 0.0)
         advanced = step(state, grid, dt, PARAMS, BoundaryData.zero(), None)
         exact = mms.sampled_state(grid, dt)
         drift = max(np.abs(advanced.w - exact.w).max(),

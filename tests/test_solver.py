@@ -11,8 +11,7 @@ from planemhd.solver import (ForcingSpec, RunAborted, StepFailure,
                              TimeConfig, _central_grad, _solve_blocks,
                              _thomas_solve, advance_density,
                              advance_induction, advance_transverse, run,
-                             run_limit, run_lockstep, stable_dt, step,
-                             tridiag_solve)
+                             run_lockstep, stable_dt, step, tridiag_solve)
 
 # tridiag_solve (LAPACK dgtsv where numpy's OpenBLAS exports it) and its
 # Python fallback share one contract, which the tests below check on both
@@ -395,14 +394,60 @@ class TestRun:
         assert "dt_min" in exc.value.report["reason"]
 
 
-class TestLimitSystem:
-    def test_requires_mu_zero(self):
-        grid = GridSpec(16)
-        cfg = TimeConfig(t_end=0.01)
-        with pytest.raises(ValueError, match="mu == 0"):
-            run_limit(make_initial_state(grid, "uniform"), grid,
-                      PhysParams(mu=0.1), BoundaryData.zero(), cfg)
+def _bad_initial(kind):
+    """An initial state that is not one state of GridSpec(32) at t = 0,
+    and what the ValueError says of it."""
+    bump = make_initial_state(GridSpec(32), "bump")
+    if kind == "late":
+        return replace(bump, t=0.05), "t = 0"
+    if kind == "other-grid":
+        return make_initial_state(GridSpec(64), "bump"), "32 cells"
+    batch = FlowState(t=0.0, **{name: np.stack([getattr(bump, name)] * 2)
+                                for name in STATE_FIELDS})
+    return batch, "32 cells"
 
+
+BAD_INITIALS = ("late", "other-grid", "batch")
+
+
+class TestInitialChecked:
+    """run_lockstep, and so run and run_sweep, reject an initial that is
+    not one state of the grid at t = 0 before the first step, not after
+    integrating to t_end."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        calls = []
+        real_step = solver.step
+
+        def counting_step(*args):
+            calls.append(args[0].t)
+            return real_step(*args)
+
+        monkeypatch.setattr(solver, "step", counting_step)
+        return calls
+
+    @pytest.mark.parametrize("kind", BAD_INITIALS)
+    def test_run(self, steps, kind):
+        initial, says = _bad_initial(kind)
+        with pytest.raises(ValueError, match=f"initial must .*{says}"):
+            run(initial, GridSpec(32), PhysParams(), BoundaryData.zero(),
+                TimeConfig(t_end=0.05))
+        assert steps == []
+
+    @pytest.mark.parametrize("kind", BAD_INITIALS)
+    def test_run_sweep(self, steps, kind):
+        from planemhd.sweep import SweepPlan, run_sweep
+        initial, says = _bad_initial(kind)
+        plan = SweepPlan(mu_values=(1e-2, 1e-3, 1e-4), grid=GridSpec(32),
+                         params=PhysParams(), bdry=BoundaryData.zero(),
+                         time=TimeConfig(t_end=0.05), initial=initial)
+        with pytest.raises(ValueError, match=f"initial must .*{says}"):
+            run_sweep(plan)
+        assert steps == []
+
+
+class TestLimitSystem:
     def test_transverse_rest_is_invariant(self):
         """With w = b = 0 initially, the limit system keeps both fields
         exactly zero for all time, whatever the wall data does."""
@@ -411,7 +456,7 @@ class TestLimitSystem:
         bdry = BoundaryData.cosine_ramp(1.0, 0.05)
         cfg = TimeConfig(t_end=0.2)
         init = make_initial_state(grid, "bump")
-        traj = run_limit(init, grid, params, bdry, cfg)
+        traj = run(init, grid, params, bdry, cfg)
         assert np.all(traj.w == 0.0)
         assert np.all(traj.b == 0.0)
 

@@ -264,7 +264,8 @@ def _synthetic_result(interior):
                        saturated=[False] * 4, scaled_w_grad=[1.0] * 4,
                        summaries=[None] * 4, interior_w_grads=interior,
                        failures=[None] * 4, rate_fit=None,
-                       thickness_fit=None, reference=ref)
+                       thickness_fit=fit_power_law(list(zip(mu, deltas))),
+                       reference=ref)
 
 
 class TestThicknessScalingReport:
@@ -296,6 +297,14 @@ class TestThicknessScalingReport:
             if row.tau <= 1.0:
                 bound = report.envelope_c1 * row.tau + report.envelope_c2
                 assert row.w_grad_interior <= bound + 1e-12
+
+    def test_raises_without_thickness_fit(self):
+        """run_sweep leaves thickness_fit None when fewer than 3 delta*
+        are unsaturated; the report has no alpha to give then."""
+        interior = {0.1: [0.9, 0.4, 0.15, 0.08]}
+        result = replace(_synthetic_result(interior), thickness_fit=None)
+        with pytest.raises(ValueError, match="at least 3 non-saturated"):
+            thickness_scaling_report(result)
 
 
 class TestRunSweep:
