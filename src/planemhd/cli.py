@@ -11,9 +11,8 @@ import argparse
 import json
 import os
 import sys
+from collections import deque
 from contextlib import contextmanager
-from dataclasses import replace
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, config_hash, parse_config, \
     render_config
 from .core import interpolate_to_nodes, make_initial_state
-from .solver import RunAborted, run
+from .solver import RunAborted, run_lockstep
 from .sweep import SweepPlan, run_sweep, thickness_scaling_report
 from . import verify as verify_suites
 
@@ -31,31 +30,14 @@ from . import verify as verify_suites
 # Python floats at once.
 BLOCK_ROWS = 16384
 
+SNAPSHOT_COLUMNS = ("t", "x", "rho", "u", "w1", "w2", "b1", "b2", "theta")
+
 
 def _usable_cores() -> int:
     """Cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-@contextmanager
-def _block_map(n_blocks: int):
-    """`map` for formatting n_blocks blocks, in order: over a pool of
-    forked workers when there are several blocks, several usable cores
-    and a platform with fork, else in this process. The pool is joined
-    on exit."""
-    workers = min(_usable_cores(), n_blocks)
-    if workers < 2 or not hasattr(os, "fork"):
-        yield map
-        return
-    # imported here, so that commands writing no multi-block file do
-    # not pay their import time and memory
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        yield pool.map
 
 
 def _format_block(fmt: str, columns: list) -> str:
@@ -65,51 +47,149 @@ def _format_block(fmt: str, columns: list) -> str:
     return "".join(fmt % row for row in zip(*values))
 
 
-def _write_csv(path: Path, header: str, columns: dict) -> None:
-    """Write the header line, the column names and one line per row.
+class _BlockFormatter:
+    """Formats blocks of rows and writes them to a file, in order.
 
-    columns maps each name to its values: a float array, written as
-    %.17g, or a sequence of strings. Rows are formatted in blocks of
-    BLOCK_ROWS (see _block_map) and each block is written as soon as
-    it and those before it are ready.
+    A block is a list of columns, all of one length: a float array,
+    written as %.17g, or a sequence of strings. Blocks are formatted in
+    this process until a second block arrives. Then, on a platform with
+    fork and at least two usable cores, they go to a pool of forked
+    workers, which format them while the caller makes the next ones. At
+    most 2 x workers blocks are in flight, and each is written once it
+    and those before it are done. The pool is shut down on exit; on a
+    clean exit the blocks still held are written first.
     """
+
+    def __init__(self, file):
+        self.file = file
+        self.fmt = None
+        self.workers = _usable_cores() if hasattr(os, "fork") else 1
+        self.first = None       # held until a second block starts the pool
+        self.pool = None
+        self.pending = deque()
+
+    def write(self, columns: list) -> None:
+        if self.fmt is None:
+            self.fmt = ",".join("%.17g" if isinstance(c, np.ndarray)
+                                else "%s" for c in columns) + "\n"
+        if self.workers > 1 and self.pool is None:
+            if self.first is None:
+                self.first = columns
+                return
+            # imported here, so that commands writing no multi-block
+            # file do not pay their import time and memory
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            self.pool = ProcessPoolExecutor(
+                self.workers, mp_context=multiprocessing.get_context("fork"))
+            self._submit(self.first)
+            self.first = None
+        self._submit(columns)
+
+    def _submit(self, columns: list) -> None:
+        if self.pool is None:
+            self.file.write(_format_block(self.fmt, columns))
+            return
+        pending = self.pending
+        while pending and (pending[0].done()
+                           or len(pending) == 2 * self.workers):
+            self.file.write(pending.popleft().result())
+        pending.append(self.pool.submit(_format_block, self.fmt, columns))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            if exc_type is None:
+                if self.first is not None:
+                    self._submit(self.first)
+                while self.pending:
+                    self.file.write(self.pending.popleft().result())
+        finally:
+            if self.pool is not None:
+                self.pool.shutdown(cancel_futures=True)
+
+
+@contextmanager
+def _csv_writer(path: Path, header: str, names):
+    """Yield write(block), which adds one block of rows (see
+    _BlockFormatter) to a CSV file of the header line, the column names
+    and the rows. The file is written under a temporary name beside
+    path and moved to path on a clean exit; on an exception it is
+    removed and path is left as it was."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with tmp.open("w") as f, _BlockFormatter(f) as blocks:
+            f.write(f"{header}\n{','.join(names)}\n")
+            yield blocks.write
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path: Path, header: str, columns: dict) -> None:
+    """Write a whole table: columns maps each name to its values, which
+    are written in blocks of BLOCK_ROWS rows."""
     values = list(columns.values())
-    fmt = ",".join("%.17g" if isinstance(c, np.ndarray) else "%s"
-                   for c in values) + "\n"
-    starts = range(0, len(values[0]), BLOCK_ROWS)
-    blocks = ([c[i:i + BLOCK_ROWS] for c in values] for i in starts)
-    with _block_map(len(starts)) as map_blocks:
-        # pool.map forks the workers now, so they never hold the file
-        text = map_blocks(_format_block, repeat(fmt), blocks)
-        with path.open("w") as f:
-            f.write(f"{header}\n{','.join(columns)}\n")
-            f.writelines(text)
+    with _csv_writer(path, header, columns) as write:
+        for i in range(0, len(values[0]), BLOCK_ROWS):
+            write([c[i:i + BLOCK_ROWS] for c in values])
+
+
+class _SnapshotBlocks:
+    """on_snapshot hook of a one-member run that writes snapshots.csv.
+
+    It copies each snapshot's node values into a block of
+    BLOCK_ROWS // (N+1) whole snapshots and passes each full block to
+    write; flush passes the last, partial one.
+    """
+
+    def __init__(self, grid, write):
+        self.write = write
+        self.nodes = ["%.17g" % x for x in grid.node_positions.tolist()]
+        self.size = max(BLOCK_ROWS // len(self.nodes), 1)
+        self.times = []
+        self.values = None
+
+    def __call__(self, state, members) -> None:
+        if not self.times:
+            # a new array per block: the pool may not have read the last
+            self.values = np.empty((len(SNAPSHOT_COLUMNS) - 2, self.size,
+                                    len(self.nodes)))
+        row = self.values[:, len(self.times)]
+        self.times.append(state.t)
+        row[0] = interpolate_to_nodes(state.rho[0])
+        row[1] = state.u[0]
+        row[2:4] = state.w[0].T
+        row[4:6] = state.b[0].T
+        row[6] = interpolate_to_nodes(state.theta[0])
+        if len(self.times) == self.size:
+            self.flush()
+
+    def flush(self) -> None:
+        n = len(self.times)
+        if n == 0:
+            return
+        # t and x repeat across rows: format each distinct value once
+        times = ["%.17g" % t for t in self.times]
+        self.write([[t for t in times for _ in self.nodes], self.nodes * n,
+                    *self.values[:, :n].reshape(len(self.values), -1)])
+        self.times = []
 
 
 def _load_config(args) -> RunConfig:
-    flags = (("physics", "mu", args.mu, "--mu"),
+    flags = [("physics", "mu", args.mu, "--mu"),
              ("grid", "n_cells", args.n_cells, "--n-cells"),
-             ("time", "t_end", args.t_end, "--t-end"))
-    return parse_config(Path(args.config).read_text(),
-                        [f for f in flags if f[2] is not None])
-
-
-def _emit_trajectory(outdir: Path, cfg: RunConfig, traj, grid) -> None:
-    tag = f"# config_hash={config_hash(cfg)}"
-    # t and x repeat across rows: format each distinct value once
-    times = ["%.17g" % t for t in traj.snapshot_times.tolist()]
-    nodes = ["%.17g" % x for x in grid.node_positions.tolist()]
-    _write_csv(outdir / "snapshots.csv", tag, {
-        "t": [t for t in times for _ in nodes],
-        "x": nodes * len(times),
-        "rho": interpolate_to_nodes(traj.rho).ravel(),
-        "u": traj.u.ravel(),
-        "w1": traj.w[..., 0].ravel(), "w2": traj.w[..., 1].ravel(),
-        "b1": traj.b[..., 0].ravel(), "b2": traj.b[..., 1].ravel(),
-        "theta": interpolate_to_nodes(traj.theta).ravel()})
-    diag = traj.diagnostics
-    _write_csv(outdir / "diagnostics.csv", tag,
-               {name: diag[name] for name in diag.dtype.names})
+             ("time", "t_end", args.t_end, "--t-end")]
+    flags = [f for f in flags if f[2] is not None]
+    text = Path(args.config).read_text()
+    cfg = parse_config(text, flags)
+    if args.command == "limit":
+        # after the flags are checked, so that a bad --mu is still refused
+        cfg = parse_config(text, flags + [("physics", "mu", 0.0, "limit")])
+    return cfg
 
 
 def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
@@ -126,21 +206,29 @@ def _scenario(cfg: RunConfig):
     return grid, params, bdry, initial, cfg.time_config()
 
 
-def cmd_run(cfg: RunConfig, outdir: Path, limit: bool) -> int:
+def cmd_run(cfg: RunConfig, outdir: Path) -> int:
     grid, params, bdry, initial, tcfg = _scenario(cfg)
-    if limit:
-        params = replace(params, mu=0.0)
+    tag = f"# config_hash={config_hash(cfg)}"
     try:
-        traj = run(initial, grid, params, bdry, tcfg)
+        with _csv_writer(outdir / "snapshots.csv", tag,
+                         SNAPSHOT_COLUMNS) as write:
+            snapshots = _SnapshotBlocks(grid, write)
+            (diag,) = run_lockstep(initial, grid, params, bdry, tcfg,
+                                   (params.mu,), on_snapshot=snapshots,
+                                   store=())
+            if isinstance(diag, RunAborted):
+                raise diag
+            snapshots.flush()
     except RunAborted as exc:
         code, payload = 1, {"status": "aborted", "failure": exc.report}
     else:
-        _emit_trajectory(outdir, cfg, traj, grid)
+        _write_csv(outdir / "diagnostics.csv", tag,
+                   {name: diag[name] for name in diag.dtype.names})
         code, payload = 0, {
-            "status": "ok", "t_final": traj.snapshot_times[-1],
-            "n_steps": len(traj.diagnostics) - 1,
-            "final_mass": float(traj.diagnostics["mass"][-1]),
-            "final_energy": float(traj.diagnostics["total_energy"][-1])}
+            "status": "ok", "t_final": float(diag["t"][-1]),
+            "n_steps": len(diag) - 1,
+            "final_mass": float(diag["mass"][-1]),
+            "final_energy": float(diag["total_energy"][-1])}
     _write_json(outdir / "summary.json", cfg,
                 {"resolved_config": render_config(cfg), **payload})
     return code
@@ -260,10 +348,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "run":
-        return cmd_run(cfg, outdir, limit=False)
-    if args.command == "limit":
-        return cmd_run(cfg, outdir, limit=True)
+    if args.command in ("run", "limit"):
+        return cmd_run(cfg, outdir)
     if args.command == "sweep":
         return cmd_sweep(cfg, outdir)
     if args.command == "bl":

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from planemhd.cli import main
 from planemhd.config import config_hash, parse_config
 from planemhd.core import interpolate_to_nodes, make_initial_state
 from planemhd.diagnostics import WEIGHT_ORDERS
-from planemhd.solver import run
+from planemhd.solver import RunAborted, run
 
 RUN_CFG = """
 [grid]
@@ -44,6 +45,22 @@ ramp_period = 0.01
 
 [sweep]
 mu_values = 1e-2,1e-3,1e-4
+"""
+
+# dt_max sets every step: one snapshot per 0.001 of t_end
+STREAM_CFG = """
+[grid]
+n_cells = 64
+
+[time]
+t_end = {t_end}
+dt_max = 0.001
+
+[initial]
+preset = bump
+
+[boundary]
+preset = cosine-ramp
 """
 
 
@@ -132,6 +149,31 @@ class TestRunCommand:
         s1 = json.loads((out1 / "summary.json").read_text())
         s2 = json.loads((out2 / "summary.json").read_text())
         assert s1["config_hash"] != s2["config_hash"]
+
+    def test_limit_records_mu_zero(self, tmp_path):
+        """limit writes the config it ran: mu = 0 in resolved_config, and
+        a config_hash in every file that differs from run's."""
+        cfg = _write(tmp_path, RUN_CFG)
+        run_out, limit_out = tmp_path / "run", tmp_path / "limit"
+        assert main(["run", "--config", cfg, "--out", str(run_out)]) == 0
+        assert main(["limit", "--config", cfg, "--out", str(limit_out)]) == 0
+        summary = json.loads((limit_out / "summary.json").read_text())
+        resolved = parse_config(summary["resolved_config"])
+        assert resolved["physics"]["mu"] == 0.0
+        assert summary["config_hash"] == config_hash(resolved)
+        assert summary["config_hash"] != json.loads(
+            (run_out / "summary.json").read_text())["config_hash"]
+        for name in ("snapshots.csv", "diagnostics.csv"):
+            tag = (limit_out / name).read_text().splitlines()[0]
+            assert tag == f"# config_hash={summary['config_hash']}"
+
+    def test_limit_refuses_bad_mu_flag(self, tmp_path, capsys):
+        """limit sets mu = 0 only after the flags are checked."""
+        rc = main(["limit", "--config", _write(tmp_path, RUN_CFG),
+                   "--out", str(tmp_path / "out"), "--mu", "nan"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: --mu: physics.mu must be finite")
 
     def test_limit_command(self, tmp_path):
         cfg = _write(tmp_path, RUN_CFG)
@@ -270,6 +312,157 @@ def test_write_csv_blocks_match_one_format(tmp_path, monkeypatch, cores):
         "%.17g,%s\n" % row for row in zip(floats.tolist(), labels))
     assert path.read_bytes() == want.encode()
     assert multiprocessing.active_children() == []
+
+
+def test_block_formatter_bounds_blocks_in_flight(tmp_path, monkeypatch):
+    """A producer faster than the pool waits for the oldest block once
+    2 x workers blocks are in flight; the blocks are written in order."""
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    in_flight = []
+    submit = cli._BlockFormatter._submit
+
+    def counting(self, columns):
+        submit(self, columns)
+        in_flight.append(len(self.pending))
+
+    monkeypatch.setattr(cli._BlockFormatter, "_submit", counting)
+    blocks = [np.arange(1000.0) + 1000 * i for i in range(20)]
+    path = tmp_path / "out.csv"
+    with path.open("w") as f, cli._BlockFormatter(f) as formatter:
+        for block in blocks:
+            formatter.write([block])
+    assert 1 <= max(in_flight) <= 4
+    assert path.read_text() == "".join(
+        "%.17g\n" % v for v in np.concatenate(blocks).tolist())
+    assert multiprocessing.active_children() == []
+
+
+def _expected_snapshots(text):
+    """snapshots.csv of the config text from the stored trajectory of
+    run, one %-format per row."""
+    cfg = parse_config(text)
+    grid, bdry = cfg.grid_spec(), cfg.boundary_data()
+    traj = run(make_initial_state(grid, cfg["initial"]["preset"], bdry),
+               grid, cfg.phys_params(), bdry, cfg.time_config())
+    shape = traj.u.shape
+    columns = [np.broadcast_to(traj.snapshot_times[:, None], shape),
+               np.broadcast_to(grid.node_positions, shape),
+               interpolate_to_nodes(traj.rho), traj.u,
+               traj.w[..., 0], traj.w[..., 1], traj.b[..., 0],
+               traj.b[..., 1], interpolate_to_nodes(traj.theta)]
+    rows = zip(*(c.ravel().tolist() for c in columns))
+    return (f"# config_hash={config_hash(cfg)}\n"
+            f"{','.join(cli.SNAPSHOT_COLUMNS)}\n"
+            + "".join(",".join(["%.17g"] * 9) % row + "\n" for row in rows))
+
+
+def test_snapshot_stream_matches_trajectory(tmp_path, monkeypatch):
+    """A run of several blocks streams the same snapshots.csv with one
+    usable core and with two, and it has the bytes of one %-format per
+    row of the trajectory that run stores."""
+    # 63 snapshots of 65 nodes to a block, 201 snapshots
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 4096)
+    text = STREAM_CFG.format(t_end=0.2)
+    cfg = _write(tmp_path, text)
+    written = []
+    for cores in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        out = tmp_path / f"cores{cores}"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        written.append((out / "snapshots.csv").read_bytes())
+    assert written[0] == written[1]
+    assert written[0] == _expected_snapshots(text).encode()
+    assert written[0].count(b"\n") - 2 > 3 * cli.BLOCK_ROWS
+
+
+def _fail_after(n_snapshots):
+    """A run_lockstep whose hook raises after n_snapshots snapshots."""
+    real = cli.run_lockstep
+
+    def failing(*args, on_snapshot, **kwargs):
+        seen = []
+
+        def hook(state, members):
+            on_snapshot(state, members)
+            seen.append(state.t)
+            if len(seen) == n_snapshots:
+                raise RuntimeError("hook failed")
+
+        return real(*args, on_snapshot=hook, **kwargs)
+
+    return failing
+
+
+def _abort_at_end():
+    """A run_lockstep that streams every snapshot, then aborts."""
+    real = cli.run_lockstep
+
+    def aborting(*args, **kwargs):
+        real(*args, **kwargs)
+        return [RunAborted({"t": 0.2, "reason": "test", "field": "u",
+                            "index": 0})]
+
+    return aborting
+
+
+@pytest.mark.parametrize("previous", [False, True])
+@pytest.mark.parametrize("failure", ["aborted", "hook"])
+def test_snapshot_stream_failure_leaves_no_file(tmp_path, monkeypatch,
+                                                failure, previous):
+    """A run that aborts, or whose hook raises, after the pool has
+    started writes no snapshots.csv and no temporary file, leaves an
+    older snapshots.csv as it was, and leaves no worker running."""
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 4096)
+    # the pool starts at the second block, snapshot 127 of 201
+    monkeypatch.setattr(cli, "run_lockstep", _abort_at_end()
+                        if failure == "aborted" else _fail_after(150))
+    out = tmp_path / "out"
+    out.mkdir()
+    if previous:
+        (out / "snapshots.csv").write_text("older\n")
+    argv = ["run", "--config", _write(tmp_path, STREAM_CFG.format(t_end=0.2)),
+            "--out", str(out)]
+    if failure == "aborted":
+        assert main(argv) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "aborted"
+        left = {"summary.json"}
+    else:
+        with pytest.raises(RuntimeError, match="hook failed"):
+            main(argv)
+        left = set()
+    assert multiprocessing.active_children() == []
+    if previous:
+        assert (out / "snapshots.csv").read_text() == "older\n"
+        left.add("snapshots.csv")
+    assert {p.name for p in out.iterdir()} == left
+
+
+def test_run_keeps_no_trajectory(tmp_path, monkeypatch):
+    """planemhd run keeps no trajectory: the peak of the memory it
+    allocates stays below the bytes of the snapshot fields, which a
+    stored trajectory would hold. Formatted in this process, with small
+    blocks, so that the peak is the stream's and not one block's text."""
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 256)
+    t_end = 0.4
+    snapshots = round(t_end / 0.001) + 1
+    n = 64
+    # rho and theta per cell, u per node, w and b two per node
+    field_bytes = snapshots * (2 * n + 5 * (n + 1)) * 8
+    argv = ["run", "--config", _write(tmp_path, STREAM_CFG.format(
+        t_end=t_end)), "--out", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = (tmp_path / "out" / "snapshots.csv").read_text().count("\n")
+    assert lines == 2 + snapshots * (n + 1)
+    assert peak < field_bytes
 
 
 def test_cli_import_leaves_out_scipy():
