@@ -111,9 +111,8 @@ def check_manufactured_orders() -> dict:
     """Observed orders of the steady and transient manufactured
     solutions."""
     spatial_min, temporal_min = 1.7, 0.8
-    params = PhysParams(mu=0.05)
-    s_order, s_errs = spatial_order(params)
-    t_order, t_errs = temporal_order(params)
+    s_order, s_errs = spatial_order()
+    t_order, t_errs = temporal_order()
     passed = s_order >= spatial_min and t_order >= temporal_min
     return {"passed": bool(passed),
             "spatial_order": s_order, "spatial_errors": list(s_errs),
