@@ -27,8 +27,10 @@ from . import verify as verify_suites
 
 # Rows per formatted block: a block is the unit of work of one formatter
 # call, so the writer never holds more than a few blocks of text or
-# Python floats at once.
-BLOCK_ROWS = 16384
+# Python floats at once. The size bounds the text in flight: at most
+# 2 x workers blocks, ~0.5 MB each for snapshots.csv (~137 bytes a row).
+# Smaller blocks start to cost wall time for little memory.
+BLOCK_ROWS = 4096
 
 SNAPSHOT_COLUMNS = ("t", "x", "rho", "u", "w1", "w2", "b1", "b2", "theta")
 

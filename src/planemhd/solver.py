@@ -112,7 +112,10 @@ def tridiag_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
 
     rhs has shape (n,) or (n, m); the m columns share one elimination
     and the result has the shape of rhs. lower[0] and upper[-1] are
-    ignored. A singular system raises ZeroDivisionError.
+    ignored. The inputs are left as they were, and the result shares no
+    memory with them. An empty system (n = 0), or bands of another
+    length than diag, raise ValueError; a singular system raises
+    ZeroDivisionError.
 
     Runs LAPACK dgtsv where numpy's OpenBLAS exports it, else the Thomas
     recurrence of _thomas_solve. dgtsv pivots by rows, but the strictly
@@ -123,22 +126,37 @@ def tridiag_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     """
     if _dgtsv is None:
         return _thomas_solve(lower, diag, upper, rhs)
-    n = len(diag)
-    if len(lower) != n or len(upper) != n or len(rhs) != n:
-        raise ValueError("bands and right-hand side must have the length "
-                         "of diag")
-    # dgtsv overwrites all four arrays, so it gets fresh contiguous copies
-    dl = np.array(lower[1:], dtype=np.float64)
-    d = np.array(diag, dtype=np.float64)
-    du = np.array(upper[:-1], dtype=np.float64)
-    x = np.array(rhs, dtype=np.float64, order="F")
+    n = _system_size(lower, diag, upper, rhs)
+    # dgtsv overwrites all four arrays, so it gets copies, packed into
+    # one fresh buffer of four n-wide slots (the bands use n - 1 of
+    # theirs) so that one .ctypes.data lookup serves all four pointers:
+    # lower, diag, upper, then rhs in Fortran order, which is the result
+    buf = np.empty(3 * n + rhs.size)
+    buf[:n - 1] = lower[1:]
+    buf[n:2 * n] = diag
+    buf[2 * n:3 * n - 1] = upper[:-1]
+    x = buf[3 * n:].reshape(rhs.shape, order="F")
+    x[...] = rhs
+    p = buf.ctypes.data
     n_ = ctypes.c_int64(n)
     info = ctypes.c_int64()
-    _dgtsv(n_, ctypes.c_int64(x.size // n), dl.ctypes.data, d.ctypes.data,
-           du.ctypes.data, x.ctypes.data, n_, info)
+    _dgtsv(n_, ctypes.c_int64(rhs.size // n), p, p + 8 * n, p + 16 * n,
+           p + 24 * n, n_, info)
     if info.value > 0:
         raise ZeroDivisionError("zero pivot in tridiagonal solve")
     return x
+
+
+def _system_size(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                 rhs: np.ndarray) -> int:
+    """n of a tridiagonal system, after checking that it has one."""
+    n = len(diag)
+    if n == 0:
+        raise ValueError("empty tridiagonal system: diag has length 0")
+    if len(lower) != n or len(upper) != n or len(rhs) != n:
+        raise ValueError("bands and right-hand side must have the length "
+                         "of diag")
+    return n
 
 
 def _thomas_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
@@ -150,7 +168,7 @@ def _thomas_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     IEEE doubles like numpy's, and far cheaper to index one at a time
     than numpy scalars.
     """
-    n = len(diag)
+    n = _system_size(lower, diag, upper, rhs)
     low = lower.tolist()
     low[0] = 0.0
     pivots = []

@@ -465,6 +465,27 @@ def test_run_keeps_no_trajectory(tmp_path, monkeypatch):
     assert peak < field_bytes
 
 
+def test_run_pool_holds_less_than_its_file(tmp_path, monkeypatch):
+    """With the pool of two workers and the default BLOCK_ROWS, the
+    memory planemhd run allocates in this process peaks below the size
+    of the snapshots.csv it writes: the text in flight, at most
+    2 x workers blocks, is a fraction of the file."""
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    text = "\n".join(["[grid]", "n_cells = 256", "[time]", "t_end = 0.25",
+                      "[initial]", "preset = bump",
+                      "[boundary]", "preset = cosine-ramp"]) + "\n"
+    out = tmp_path / "out"
+    argv = ["run", "--config", _write(tmp_path, text), "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert multiprocessing.active_children() == []
+    assert peak < (out / "snapshots.csv").stat().st_size
+
+
 def test_cli_import_leaves_out_scipy():
     """The solver reaches LAPACK through numpy's own OpenBLAS; importing
     scipy would cost every command its memory and start-up time."""

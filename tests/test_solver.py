@@ -45,6 +45,19 @@ def _thomas_on_numpy_scalars(lower, diag, upper, rhs):
     return x
 
 
+def _strided(a):
+    """A view of new memory with the values of a that is not contiguous:
+    every other entry for a 1-D a, columns 1:3 of a C-order (n, 4) array
+    for an (n, 2) one."""
+    if a.ndim == 1:
+        wide = np.zeros(2 * len(a), a.dtype)
+        wide[::2] = a
+        return wide[::2]
+    wide = np.zeros((len(a), 4), a.dtype)
+    wide[:, 1:3] = a
+    return wide[:, 1:3]
+
+
 class TestTridiag:
     @given(st.integers(min_value=1, max_value=40), st.integers(0, 2 ** 31))
     @settings(max_examples=50, deadline=None)
@@ -121,6 +134,42 @@ class TestTridiag:
                 with pytest.raises(ZeroDivisionError):
                     solve(np.array([0.0, 1.0]), np.ones(2),
                           np.array([1.0, 0.0]), np.ones((2,) + cols))
+
+    def test_empty_system(self):
+        for solve in SOLVERS:
+            for cols in ((), (2,)):
+                with pytest.raises(ValueError,
+                                   match="empty tridiagonal system"):
+                    solve(np.zeros(0), np.zeros(0), np.zeros(0),
+                          np.zeros((0,) + cols))
+
+    @pytest.mark.parametrize("n", [1, 2, 31])
+    def test_inputs_kept(self, n):
+        """The four inputs are left as they were and share no memory
+        with the result; integer and strided inputs solve to the bits
+        of contiguous float64 copies."""
+        rng = np.random.default_rng(n)
+        for solve in SOLVERS:
+            for cols in ((), (2,)):
+                ints = [rng.integers(-3, 4, n), 10 + rng.integers(0, 5, n),
+                        rng.integers(-3, 4, n),
+                        rng.integers(-9, 10, (n,) + cols)]
+                lower, upper = rng.normal(size=n), rng.normal(size=n)
+                reals = [lower, 3.0 + np.abs(lower) + np.abs(upper)
+                         + rng.random(n), upper,
+                         rng.normal(size=(n,) + cols)]
+                strided = [_strided(a) for a in reals]
+                for system in (ints, reals, strided):
+                    want = solve(*[np.array(a, dtype=np.float64)
+                                   for a in system])
+                    kept = [a.copy() for a in system]
+                    x = solve(*system)
+                    assert x.shape == want.shape
+                    assert x.tobytes() == want.tobytes()
+                    for a, k in zip(system, kept):
+                        assert a.dtype == k.dtype
+                        assert a.tobytes() == k.tobytes()
+                        assert not np.shares_memory(x, a)
 
 
     @given(st.integers(min_value=1, max_value=6),
