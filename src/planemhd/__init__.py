@@ -2,7 +2,7 @@
 experiment harness."""
 
 from .core import (BoundaryData, FlowState, GridSpec, InvalidStateError,
-                   KappaModel, PhysParams, Trajectory, interpolate_to_nodes,
+                   PhysParams, Trajectory, interpolate_to_nodes,
                    make_initial_state)
 from .solver import (ForcingSpec, RunAborted, StepFailure, TimeConfig, run,
                      run_lockstep, step, tridiag_solve)

@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
-from .core import BoundaryData, GridSpec, KappaModel, PhysParams, PRESETS
+from .core import BoundaryData, GridSpec, PhysParams, PRESETS
 from .solver import TimeConfig
 from .sweep import check_settings
 
@@ -56,26 +56,21 @@ class RunConfig:
     def __getitem__(self, section: str) -> Dict[str, object]:
         return self.raw[section]
 
+    # each key of these sections is a field of its type, except that
+    # physics.lambda is the argument lam
+
     def grid_spec(self) -> GridSpec:
-        return GridSpec(self.raw["grid"]["n_cells"])
+        return GridSpec(**self.raw["grid"])
 
     def phys_params(self) -> PhysParams:
-        p = self.raw["physics"]
-        return PhysParams(lam=p["lambda"], mu=p["mu"], nu=p["nu"],
-                          gamma=p["gamma"], c_v=p["c_v"],
-                          kappa_model=KappaModel(kappa1=p["kappa1"],
-                                                 kappa2=p["kappa2"],
-                                                 q=p["q"]))
+        p = dict(self.raw["physics"])
+        return PhysParams(lam=p.pop("lambda"), **p)
 
     def boundary_data(self) -> BoundaryData:
-        b = self.raw["boundary"]
-        return BoundaryData(b["preset"], b["amplitude"], b["ramp_period"])
+        return BoundaryData(**self.raw["boundary"])
 
     def time_config(self) -> TimeConfig:
-        t = self.raw["time"]
-        return TimeConfig(t_end=t["t_end"], cfl=t["cfl"],
-                          dt_max=t["dt_max"], dt_min=t["dt_min"],
-                          snapshot_stride=t["snapshot_stride"])
+        return TimeConfig(**self.raw["time"])
 
     def _floats(self, key: str) -> Tuple[float, ...]:
         try:
@@ -169,7 +164,7 @@ def _validate(values, seen):
                            ("time", cfg.time_config),
                            ("sweep", lambda: check_settings(
                                cfg.mu_values(), cfg.bl_tol(),
-                               cfg.interior_deltas()))):
+                               cfg.interior_deltas(), cfg.grid_spec()))):
         try:
             build()
         except ValueError as exc:

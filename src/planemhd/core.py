@@ -8,7 +8,7 @@ workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -64,29 +64,13 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class KappaModel:
-    """Heat conductivity kappa1*(1 + theta**q) + kappa2*rho."""
-
-    kappa1: float = 1.0
-    kappa2: float = 0.0
-    q: float = 2.0
-
-    def __post_init__(self):
-        check_field_types(self)
-        if not self.kappa1 > 0:                 # NaN fails too
-            raise InvalidStateError("kappa1 must be positive")
-        if not self.kappa2 >= 0:
-            raise InvalidStateError("kappa2 must be nonnegative")
-        if not self.q > 0:
-            raise InvalidStateError("q must be positive")
-
-
-@dataclass(frozen=True)
 class PhysParams:
-    """Viscosities, diffusivity, adiabatic constant and conductivity model.
+    """Viscosities, diffusivity, adiabatic constant and conductivity.
 
     lam is the bulk viscosity, mu the shear viscosity (mu = 0 selects the
-    limit system), nu the magnetic diffusivity.
+    limit system), nu the magnetic diffusivity. The heat conductivity is
+    kappa(rho, theta) = kappa1*(1 + theta**q) + kappa2*rho; kappa2 >= 0
+    keeps kappa >= kappa1*(1 + theta**q), with kappa1 > 0 and q > 0.
     """
 
     lam: float = 1.0
@@ -94,15 +78,18 @@ class PhysParams:
     nu: float = 1.0
     gamma: float = 1.4
     c_v: float = 1.0
-    kappa_model: KappaModel = field(default_factory=KappaModel)
+    kappa1: float = 1.0
+    kappa2: float = 0.0
+    q: float = 2.0
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("lam", "nu", "gamma", "c_v"):
+        for name in ("lam", "nu", "gamma", "c_v", "kappa1", "q"):
             if not getattr(self, name) > 0:     # NaN fails too
                 raise InvalidStateError(f"{name} must be positive")
-        if not self.mu >= 0:
-            raise InvalidStateError("mu must be nonnegative")
+        for name in ("mu", "kappa2"):
+            if not getattr(self, name) >= 0:
+                raise InvalidStateError(f"{name} must be nonnegative")
 
 
 BOUNDARY_PRESETS = ("zero", "constant", "cosine-ramp")
@@ -114,12 +101,14 @@ class BoundaryData:
 
     Both walls carry at(t) = (g(t), 0): g is zero for "zero", amplitude
     for "constant", and for "cosine-ramp" a smooth ramp from 0 to
-    amplitude over ramp_period, then held. u, b and theta_x are
-    homogeneous at the walls and carry no free data.
+    amplitude over ramp_period, then held. The ramp vanishes with zero
+    slope at t = 0, so it is compatible with transverse fields that
+    start from rest. u, b and theta_x are homogeneous at the walls and
+    carry no free data.
     """
 
     preset: str = "zero"
-    amplitude: float = 0.0
+    amplitude: float = 1.0
     ramp_period: float = 0.25
 
     def __post_init__(self):
@@ -139,22 +128,6 @@ class BoundaryData:
         s = min(max(t / self.ramp_period, 0.0), 1.0)
         return np.array([0.5 * self.amplitude * (1.0 - np.cos(np.pi * s)),
                          0.0])
-
-    @staticmethod
-    def zero() -> "BoundaryData":
-        return BoundaryData("zero")
-
-    @staticmethod
-    def constant(amplitude: float) -> "BoundaryData":
-        return BoundaryData("constant", float(amplitude))
-
-    @staticmethod
-    def cosine_ramp(amplitude: float = 1.0,
-                    ramp_period: float = 0.25) -> "BoundaryData":
-        """Vanishes with zero slope at t = 0, so it is compatible with
-        transverse fields that start from rest."""
-        return BoundaryData("cosine-ramp", float(amplitude),
-                            float(ramp_period))
 
 
 STATE_FIELDS = ("rho", "u", "w", "b", "theta")
@@ -271,11 +244,20 @@ def interpolate_to_nodes(cell_values: np.ndarray) -> np.ndarray:
 
 _Profiles = Union[str, Mapping[str, np.ndarray]]
 
-PRESETS = ("uniform", "bump", "transverse-rest")
+
+def _uniform(grid: GridSpec) -> dict:
+    return {"rho": np.ones(grid.n_cells), "theta": np.ones(grid.n_cells)}
 
 
-def _bump(x: np.ndarray) -> np.ndarray:
-    return np.exp(-50.0 * (x - 0.5) ** 2)
+def _bump(grid: GridSpec) -> dict:
+    bump = np.exp(-50.0 * (grid.cell_centers - 0.5) ** 2)
+    return {"rho": 1.0 + 0.2 * bump, "theta": 1.0 + 0.1 * bump}
+
+
+# the profiles of each preset on a grid; the fields left out are zero
+_PRESET_PROFILES = {"uniform": _uniform, "bump": _bump,
+                    "transverse-rest": _uniform}
+PRESETS = tuple(_PRESET_PROFILES)
 
 
 def make_initial_state(grid: GridSpec, profiles: _Profiles = "uniform",
@@ -286,32 +268,24 @@ def make_initial_state(grid: GridSpec, profiles: _Profiles = "uniform",
     "bump" (smooth Gaussian bump in density and temperature), and
     "transverse-rest" (uniform with w = b identically zero, the starting
     configuration for boundary-layer experiments). Tabulated profiles are
-    given as a mapping with keys rho, theta and optionally u, w, b.
+    given as a mapping with keys rho, theta and optionally u, w, b; a
+    preset name stands for its table.
     """
     n = grid.n_cells
     if isinstance(profiles, str):
         if profiles not in PRESETS:
             raise InvalidStateError(f"unknown preset {profiles!r}; "
                                     f"choose one of {PRESETS}")
-        x = grid.cell_centers
-        rho = np.ones(n)
-        theta = np.ones(n)
-        if profiles == "bump":
-            rho = 1.0 + 0.2 * _bump(x)
-            theta = 1.0 + 0.1 * _bump(x)
-        u = np.zeros(n + 1)
-        w = np.zeros((n + 1, 2))
-        b = np.zeros((n + 1, 2))
-    else:
-        rho = np.asarray(profiles["rho"], dtype=float)
-        theta = np.asarray(profiles["theta"], dtype=float)
-        u = np.asarray(profiles.get("u", np.zeros(n + 1)), dtype=float)
-        w = np.asarray(profiles.get("w", np.zeros((n + 1, 2))), dtype=float)
-        b = np.asarray(profiles.get("b", np.zeros((n + 1, 2))), dtype=float)
-        if u[0] != 0.0 or u[-1] != 0.0:
-            raise InvalidStateError("tabulated u must vanish at the walls")
-        if np.any(b[0] != 0.0) or np.any(b[-1] != 0.0):
-            raise InvalidStateError("tabulated b must vanish at the walls")
+        profiles = _PRESET_PROFILES[profiles](grid)
+    rho = np.asarray(profiles["rho"], dtype=float)
+    theta = np.asarray(profiles["theta"], dtype=float)
+    u = np.asarray(profiles.get("u", np.zeros(n + 1)), dtype=float)
+    w = np.asarray(profiles.get("w", np.zeros((n + 1, 2))), dtype=float)
+    b = np.asarray(profiles.get("b", np.zeros((n + 1, 2))), dtype=float)
+    if u[0] != 0.0 or u[-1] != 0.0:
+        raise InvalidStateError("tabulated u must vanish at the walls")
+    if np.any(b[0] != 0.0) or np.any(b[-1] != 0.0):
+        raise InvalidStateError("tabulated b must vanish at the walls")
     if bdry is not None:
         w = np.array(w)
         w[0] = w[-1] = bdry.at(0.0)

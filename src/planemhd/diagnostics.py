@@ -224,15 +224,18 @@ def deviation_profile(traj: Trajectory, reference: Trajectory
     return cell.max(axis=0), node.max(axis=0)
 
 
+def interior(points: np.ndarray, delta: float) -> np.ndarray:
+    """Mask of the points in (delta, 1-delta), for delta in (0, 1/2)."""
+    if not 0 < delta < 0.5:
+        raise ValueError("delta must lie in (0, 1/2)")
+    return (points > delta) & (points < 1.0 - delta)
+
+
 def interior_sup(profile: Tuple[np.ndarray, np.ndarray], delta: float,
                  grid: GridSpec) -> float:
     """Sup of a deviation_profile over the grid points in (delta, 1-delta)."""
-    if not 0 < delta < 0.5:
-        raise ValueError("delta must lie in (0, 1/2)")
-    xc = grid.cell_centers
-    xn = grid.node_positions
-    mc = (xc > delta) & (xc < 1.0 - delta)
-    mn = (xn > delta) & (xn < 1.0 - delta)
+    mc = interior(grid.cell_centers, delta)
+    mn = interior(grid.node_positions, delta)
     if not mc.any() and not mn.any():
         raise ValueError(
             f"no grid point inside ({delta}, {1 - delta}); "
@@ -252,10 +255,11 @@ def interior_w_sq(w: np.ndarray, delta: float,
                   grid: GridSpec) -> np.ndarray:
     """Squared L2 norm of w_x over (delta, 1-delta), over any leading
     axes of the node field w (..., N+1, 2)."""
-    if not 0 < delta < 0.5:
-        raise ValueError("delta must lie in (0, 1/2)")
-    xc = grid.cell_centers
-    mask = (xc > delta) & (xc < 1.0 - delta)
+    mask = interior(grid.cell_centers, delta)
+    if not mask.any():
+        raise ValueError(
+            f"no cell centre inside ({delta}, {1 - delta}), where w_x "
+            f"lives; minimum usable delta spacing is dx = {grid.dx}")
     w_x = np.diff(w, axis=-2) / grid.dx
     # compress keeps each row contiguous, so the row sums round as the
     # sum over one state does (w_x[..., mask, :] would not)

@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import InvalidStateError, KappaModel, PhysParams
+from .core import InvalidStateError, PhysParams
 
 
-def kappa(rho, theta, model: KappaModel):
+def kappa(rho, theta, params: PhysParams):
     """Heat conductivity kappa1*(1 + theta**q) + kappa2*rho.
 
     Bounded below by kappa1*(1 + theta**q) for all admissible states.
@@ -19,7 +19,7 @@ def kappa(rho, theta, model: KappaModel):
     theta = np.asarray(theta)
     if np.any(rho <= 0) or np.any(theta <= 0):
         raise InvalidStateError("kappa requires positive rho and theta")
-    return model.kappa1 * (1.0 + theta ** model.q) + model.kappa2 * rho
+    return params.kappa1 * (1.0 + theta ** params.q) + params.kappa2 * rho
 
 
 def sq_norm(v):

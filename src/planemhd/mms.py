@@ -117,7 +117,7 @@ def solution_error(mms: ManufacturedSolution, grid: GridSpec,
                    params: PhysParams, cfg: TimeConfig) -> float:
     """Combined discrete error of a forced run against the exact fields."""
     traj = run(mms.sampled_state(grid, 0.0), grid, params,
-               BoundaryData.zero(), cfg, mms.forcing)
+               BoundaryData(), cfg, mms.forcing)
     exact = Trajectory([mms.sampled_state(grid, t)
                         for t in traj.snapshot_times], ())
     return error_norms(traj, exact, grid).combined

@@ -31,13 +31,13 @@ def _build(params: PhysParams, rho, u, w1, w2, b1, b2, theta) -> dict:
     from the field expressions, by name."""
     lam, mu, nu = params.lam, params.mu, params.nu
     gamma, c_v = params.gamma, params.c_v
-    km = params.kappa_model
     p = gamma * rho * theta
     bsq = b1 ** 2 + b2 ** 2
     # an exact exponent: with the float q the derivative keeps
     # theta**1.0 beside theta, sympy orders the two by their hashes, and
     # the printed sum changed from one process to the next
-    kap = km.kappa1 * (1 + theta ** sp.Rational(km.q)) + km.kappa2 * rho
+    kap = (params.kappa1 * (1 + theta ** sp.Rational(params.q))
+           + params.kappa2 * rho)
     heat = (lam * sp.diff(u, x) ** 2
             + mu * (sp.diff(w1, x) ** 2 + sp.diff(w2, x) ** 2)
             + nu * (sp.diff(b1, x) ** 2 + sp.diff(b2, x) ** 2))
@@ -128,7 +128,7 @@ def source() -> str:
               '    PYTHONPATH=src python -m planemhd.mms_derive\n\n'
               'from the root of a source checkout; do not edit.\n"""\n\n'
               f"from numpy import {', '.join(sorted(numpy_names))}\n\n"
-              "from .core import KappaModel, PhysParams\n\n")
+              "from .core import PhysParams\n\n")
     return header + f"PARAMS = {PARAMS!r}\n" + "".join(functions)
 
 

@@ -8,9 +8,9 @@ from the root of a source checkout; do not edit.
 
 from numpy import cos, pi, sin
 
-from .core import KappaModel, PhysParams
+from .core import PhysParams
 
-PARAMS = PhysParams(lam=1.0, mu=0.05, nu=1.0, gamma=1.4, c_v=1.0, kappa_model=KappaModel(kappa1=1.0, kappa2=0.0, q=2.0))
+PARAMS = PhysParams(lam=1.0, mu=0.05, nu=1.0, gamma=1.4, c_v=1.0, kappa1=1.0, kappa2=0.0, q=2.0)
 
 
 def steady_rho(x, t):

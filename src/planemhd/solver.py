@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import ctypes
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -497,7 +497,7 @@ def temperature_system(grid: GridSpec, params: PhysParams, dt: float,
     """
     dx = grid.dx
     c_v = params.c_v
-    kap = kappa_eval(rho_new, theta, params.kappa_model)
+    kap = kappa_eval(rho_new, theta, params)
     kap_face = 0.5 * (kap[..., :-1] + kap[..., 1:])  # interior faces only
     # upwind advection of the old thermal content rho*c_v*theta
     q = rho_old * theta

@@ -12,8 +12,8 @@ import numpy as np
 from .core import (STATE_FIELDS, BoundaryData, FlowState, GridSpec,
                    PhysParams, Trajectory)
 from .diagnostics import (ErrorNorms, deviation, deviation_profile,
-                          interior_sup, interior_w_sq, norms_over_time,
-                          sq_errors)
+                          interior, interior_sup, interior_w_sq,
+                          norms_over_time, sq_errors)
 from .solver import RunAborted, TimeConfig, run_lockstep
 
 DEFAULT_INTERIOR_DELTAS = (0.05, 0.1, 0.2)
@@ -85,13 +85,14 @@ class SweepPlan:
     interior_deltas: Tuple[float, ...] = DEFAULT_INTERIOR_DELTAS
 
     def __post_init__(self):
-        check_settings(self.mu_values, self.bl_tol, self.interior_deltas)
+        check_settings(self.mu_values, self.bl_tol, self.interior_deltas,
+                       self.grid)
 
 
 def check_settings(mu_values: Sequence[float], bl_tol: float,
-                   interior_deltas: Sequence[float]) -> None:
+                   interior_deltas: Sequence[float], grid: GridSpec) -> None:
     """Raise ValueError, naming the argument first, if a sweep setting
-    is out of range: before any run, not in bl_thickness and
+    is out of range on grid: before any run, not in bl_thickness and
     interior_w_grad after the whole sweep is integrated."""
     mu = np.asarray(mu_values, dtype=float)
     if mu.size == 0:
@@ -107,6 +108,12 @@ def check_settings(mu_values: Sequence[float], bl_tol: float,
         raise ValueError("interior_deltas must not be empty")
     if not all(0 < d < 0.5 for d in interior_deltas):
         raise ValueError("interior_deltas must lie in (0, 1/2)")
+    if len(set(interior_deltas)) < len(interior_deltas):
+        raise ValueError("interior_deltas must be distinct")
+    if not all(interior(grid.cell_centers, d).any() for d in interior_deltas):
+        raise ValueError(f"interior_deltas must each keep a cell centre of "
+                         f"the {grid.n_cells}-cell grid inside "
+                         "(delta, 1 - delta)")
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ def check_steady_state() -> dict:
     grid = GridSpec(32)
     params = PhysParams()
     state = make_initial_state(grid, "uniform")
-    bdry = BoundaryData.zero()
+    bdry = BoundaryData()
     dt = 0.4 * grid.dx
     for _ in range(200):
         state = step(state, grid, dt, params, bdry)
@@ -69,7 +69,7 @@ def check_conservation() -> dict:
     params = PhysParams()
     cfg = TimeConfig(t_end=0.2)
     traj = run(make_initial_state(grid, "bump"), grid, params,
-               BoundaryData.zero(), cfg)
+               BoundaryData(), cfg)
     masses = traj.diagnostics["mass"]
     drift = float(np.abs(masses - masses[0]).max() / masses[0])
     dts = np.diff(traj.diagnostics["t"])

@@ -15,7 +15,7 @@ import conftest
 from planemhd.core import (BoundaryData, GridSpec, PhysParams,
                            make_initial_state)
 from planemhd.diagnostics import (energy_balance_residual,
-                                  entropy_monotonicity, error_norms)
+                                  entropy_monotonicity)
 from planemhd.solver import TimeConfig, run, step
 from planemhd.sweep import SweepPlan, run_sweep, thickness_scaling_report
 from planemhd.verify import (check_manufactured_orders,
@@ -38,7 +38,7 @@ def bump_run():
     grid = GridSpec(128)
     cfg = TimeConfig(t_end=1.0)
     traj = run(make_initial_state(grid, "bump"), grid, PhysParams(),
-               BoundaryData.zero(), cfg)
+               BoundaryData(), cfg)
     return grid, traj
 
 
@@ -52,7 +52,7 @@ def sweep():
     """
     grid = GridSpec(512)
     params = PhysParams(lam=1.0, mu=0.1, nu=1.0, gamma=1.4)
-    bdry = BoundaryData.cosine_ramp(amplitude=1.0, ramp_period=0.25)
+    bdry = BoundaryData("cosine-ramp", 1.0, 0.25)
     cfg = TimeConfig(t_end=0.5, cfl=0.8, dt_max=5e-4, snapshot_stride=10)
     plan = SweepPlan(mu_values=(1e-2, 1e-3, 1e-4, 1e-5), grid=grid,
                      params=params, bdry=bdry, time=cfg,
@@ -78,7 +78,7 @@ def test_criterion_02_uniform_steady_state():
     state = make_initial_state(grid, "uniform")
     dt = 0.4 * grid.dx
     for _ in range(1000):
-        state = step(state, grid, dt, params, BoundaryData.zero())
+        state = step(state, grid, dt, params, BoundaryData())
     dev = max(np.abs(state.rho - 1.0).max(),
               np.abs(state.theta - 1.0).max(),
               np.abs(state.u).max(), np.abs(state.w).max(),
@@ -123,7 +123,7 @@ def energy_benchmark():
     runs = {}
     for dt in (2e-3, 1e-3):
         cfg = TimeConfig(t_end=0.25, cfl=1.0, dt_max=dt, snapshot_stride=1)
-        runs[dt] = run(init, grid, params, BoundaryData.zero(), cfg)
+        runs[dt] = run(init, grid, params, BoundaryData(), cfg)
     return grid, params, runs
 
 
@@ -156,14 +156,14 @@ def test_criterion_07_degenerate_limit():
     params0 = PhysParams(mu=0.0)
     cfg = TimeConfig(t_end=0.5)
     # driven case: wall data cannot excite w or b in the limit system
-    bdry = BoundaryData.cosine_ramp(1.0, 0.25)
+    bdry = BoundaryData("cosine-ramp", 1.0, 0.25)
     driven = run(make_initial_state(grid, "transverse-rest", bdry),
                  grid, params0, bdry, cfg)
     wmax = float(np.abs(driven.w).max())
     bmax = float(np.abs(driven.b).max())
     # vanishing-mu case on shared data must reproduce rho, u, theta
     init = make_initial_state(grid, "bump")
-    zero = BoundaryData.zero()
+    zero = BoundaryData()
     ref = run(init, grid, params0, zero, cfg)
     traj = run(init, grid, replace(params0, mu=1e-12), zero, cfg)
     dx = grid.dx

@@ -105,6 +105,12 @@ class TestValidation:
                                                "must lie in"),
         ("sweep", "interior_deltas = 0.1,0.5", "sweep.interior_deltas "
                                                "must lie in"),
+        ("sweep", "interior_deltas = 0.1,0.1", "sweep.interior_deltas "
+                                               "must be distinct"),
+        ("sweep", "interior_deltas = 0.05,0.49", "sweep.interior_deltas "
+                                                 "must each keep a cell "
+                                                 "centre of the 32-cell "
+                                                 "grid inside"),
         ("sweep", "bl_tol = nan", "sweep.bl_tol must be finite"),
         *((section, f"{key} = nan", f"{section}.{key} must be finite")
           for section, keys in _SCHEMA.items()
@@ -133,7 +139,7 @@ class TestFactories:
         cfg = parse_config(MINIMAL + "\n[physics]\nlambda = 2.0\nq = 3.0\n")
         p = cfg.phys_params()
         assert p.lam == 2.0
-        assert p.kappa_model.q == 3.0
+        assert p.q == 3.0
 
     def test_boundary_presets(self):
         cfg = parse_config(MINIMAL + "\n[boundary]\npreset = cosine-ramp\n"
@@ -159,17 +165,15 @@ class TestFactories:
 class TestDefaults:
     def test_match_the_types(self):
         """The defaults config repeats are those of the types that own
-        the values. boundary.amplitude differs on purpose: 1.0 in config
-        but 0.0 in BoundaryData, whose default preset "zero" ignores it.
-        A config that selects a ramp or a constant wall without an
-        amplitude gets a unit wall velocity, and the default bl_tol, 5%
-        of the amplitude, is SweepPlan's."""
+        the values. A config that selects a ramp or a constant wall
+        without an amplitude gets a unit wall velocity, and the default
+        bl_tol, 5% of the amplitude, is SweepPlan's."""
         cfg = parse_config(MINIMAL)
         assert cfg.phys_params() == PhysParams()
         assert cfg.time_config() == TimeConfig(t_end=0.1)
         assert cfg.interior_deltas() == DEFAULT_INTERIOR_DELTAS
         assert cfg.boundary_data() == BoundaryData(amplitude=1.0)
-        assert BoundaryData().amplitude == 0.0
+        assert cfg.boundary_data() == BoundaryData()
         assert cfg.bl_tol() == SweepPlan.bl_tol
 
 

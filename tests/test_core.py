@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from planemhd.core import (BoundaryData, FlowState, GridSpec,
-                           InvalidStateError, KappaModel, PhysParams,
+                           InvalidStateError, PhysParams,
                            Trajectory, interpolate_to_nodes,
                            make_initial_state)
 
@@ -37,11 +37,11 @@ class TestGridSpec:
 class TestParams:
     def test_kappa_model_validation(self):
         with pytest.raises(InvalidStateError):
-            KappaModel(kappa1=0.0)
+            PhysParams(kappa1=0.0)
         with pytest.raises(InvalidStateError):
-            KappaModel(kappa2=-1.0)
+            PhysParams(kappa2=-1.0)
         with pytest.raises(InvalidStateError):
-            KappaModel(q=0.0)
+            PhysParams(q=0.0)
 
     def test_phys_params_validation(self):
         with pytest.raises(InvalidStateError):
@@ -53,9 +53,9 @@ class TestParams:
 
     @pytest.mark.parametrize("make", [
         lambda: PhysParams(mu=np.nan), lambda: PhysParams(lam=np.nan),
-        lambda: PhysParams(gamma=np.nan), lambda: KappaModel(kappa1=np.nan),
-        lambda: KappaModel(kappa2=np.nan), lambda: KappaModel(q=np.nan),
-        lambda: PhysParams(lam=np.inf), lambda: KappaModel(q=np.inf)])
+        lambda: PhysParams(gamma=np.nan), lambda: PhysParams(kappa1=np.nan),
+        lambda: PhysParams(kappa2=np.nan), lambda: PhysParams(q=np.nan),
+        lambda: PhysParams(lam=np.inf), lambda: PhysParams(q=np.inf)])
     def test_nan_rejected(self, make):
         with pytest.raises(InvalidStateError):
             make()
@@ -63,11 +63,11 @@ class TestParams:
 
 class TestBoundaryData:
     def test_zero(self):
-        bd = BoundaryData.zero()
+        bd = BoundaryData()
         np.testing.assert_array_equal(bd.at(3.0), [0.0, 0.0])
 
     def test_cosine_ramp_endpoints(self):
-        bd = BoundaryData.cosine_ramp(amplitude=2.0, ramp_period=0.5)
+        bd = BoundaryData("cosine-ramp", 2.0, 0.5)
         np.testing.assert_allclose(bd.at(0.0), [0.0, 0.0])
         np.testing.assert_allclose(bd.at(0.25), [1.0, 0.0])
         np.testing.assert_allclose(bd.at(0.5), [2.0, 0.0])
@@ -75,19 +75,19 @@ class TestBoundaryData:
         np.testing.assert_allclose(bd.at(10.0), [2.0, 0.0])
 
     def test_cosine_ramp_starts_flat(self):
-        bd = BoundaryData.cosine_ramp(1.0, 0.25)
+        bd = BoundaryData("cosine-ramp", 1.0, 0.25)
         eps = 1e-6
         assert bd.at(eps)[0] < 1e-9
 
     def test_constant(self):
         np.testing.assert_array_equal(
-            BoundaryData.constant(-0.7).at(2.0), [-0.7, 0.0])
+            BoundaryData("constant", -0.7).at(2.0), [-0.7, 0.0])
 
     def test_plain_data_hashes(self):
-        a = BoundaryData.cosine_ramp(1.0, 0.25)
+        a = BoundaryData("cosine-ramp", 1.0, 0.25)
         assert a == BoundaryData("cosine-ramp", 1.0, 0.25)
         assert hash(a) == hash(BoundaryData("cosine-ramp", 1.0, 0.25))
-        assert len({a, BoundaryData.zero(), BoundaryData.zero()}) == 2
+        assert len({a, BoundaryData(), BoundaryData()}) == 2
 
     @pytest.mark.parametrize("kwargs", [
         {"preset": "custom"},
@@ -217,6 +217,26 @@ class TestMakeInitialState:
         assert s.rho.argmax() in (31, 32)
         assert s.rho.max() > 1.1
 
+    @pytest.mark.parametrize("n", [8, 64, 129])
+    @pytest.mark.parametrize("bdry", [None, BoundaryData("cosine-ramp")])
+    @pytest.mark.parametrize("preset", ["uniform", "bump",
+                                        "transverse-rest"])
+    def test_preset_profiles(self, preset, bdry, n):
+        """Each preset's fields, bit for bit: rho and theta at the cell
+        centres, u, w and b zero, also under a wall ramp from rest."""
+        grid = GridSpec(n)
+        s = make_initial_state(grid, preset, bdry)
+        bump = np.exp(-50.0 * (grid.cell_centers - 0.5) ** 2)
+        rho, theta = ((1.0 + 0.2 * bump, 1.0 + 0.1 * bump)
+                      if preset == "bump" else (np.ones(n), np.ones(n)))
+        np.testing.assert_array_equal(s.rho, rho, strict=True)
+        np.testing.assert_array_equal(s.theta, theta, strict=True)
+        np.testing.assert_array_equal(s.u, np.zeros(n + 1), strict=True)
+        for name in ("w", "b"):
+            np.testing.assert_array_equal(getattr(s, name),
+                                          np.zeros((n + 1, 2)), strict=True)
+        assert s.t == 0.0
+
     def test_unknown_preset(self):
         with pytest.raises(InvalidStateError, match="unknown preset"):
             make_initial_state(GridSpec(8), "vortex")
@@ -240,7 +260,7 @@ class TestMakeInitialState:
                                              "theta": np.ones(n), "u": u})
 
     def test_boundary_data_sets_wall_w(self):
-        bd = BoundaryData.constant(0.7)
+        bd = BoundaryData("constant", 0.7)
         s = make_initial_state(GridSpec(8), "transverse-rest", bd)
         assert s.w[0, 0] == 0.7
         assert s.w[-1, 0] == 0.7

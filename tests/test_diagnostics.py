@@ -162,7 +162,7 @@ class TestEnergyBalance:
         state = _state_with_w(grid, prof)
         cfg = TimeConfig(t_end=0.1, cfl=1.0, dt_max=5e-4)
         traj = run(state, grid, params,
-                   BoundaryData.zero(), cfg)
+                   BoundaryData(), cfg)
         res = np.abs(energy_balance_residual(traj, grid, params)).max()
         assert res < 5e-4
 
@@ -190,7 +190,7 @@ class TestEntropyMonotonicity:
         grid = GridSpec(32)
         cfg = TimeConfig(t_end=0.1)
         traj = run(make_initial_state(grid, "bump"), grid, PhysParams(),
-                   BoundaryData.zero(), cfg)
+                   BoundaryData(), cfg)
         dts = np.diff(traj.diagnostics["t"])
         assert entropy_monotonicity(traj) >= -10.0 * dts.max() * grid.dx
 
@@ -321,6 +321,14 @@ class TestInteriorMeasures:
         full = interior_w_grad(traj, 0.01, grid)
         inner = interior_w_grad(traj, 0.2, grid)
         assert inner < 1e-3 * full
+
+    def test_interior_w_grad_needs_a_cell_inside(self):
+        """(0.49, 0.51) holds the node 0.5 but no cell centre, where w_x
+        lives: an empty sum would report a zero norm."""
+        grid = GridSpec(8)
+        traj = _single_snapshot(make_initial_state(grid, "uniform"))
+        with pytest.raises(ValueError, match="no cell centre inside"):
+            interior_w_grad(traj, 0.49, grid)
 
     @pytest.mark.parametrize("delta", [0.01, 0.1, 0.3])
     def test_interior_w_grad_matches_per_snapshot_loop(self, delta):

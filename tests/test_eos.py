@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from planemhd.core import InvalidStateError, KappaModel, PhysParams
+from planemhd.core import InvalidStateError, PhysParams
 from planemhd.eos import (dissipation_q, entropy_density, kappa,
                           total_energy_density)
 
@@ -11,14 +11,14 @@ pos = st.floats(min_value=1e-3, max_value=1e3)
 
 @given(pos, pos)
 def test_kappa_lower_bound(rho, theta):
-    model = KappaModel(kappa1=0.7, kappa2=0.3, q=2.0)
-    val = kappa(rho, theta, model)
+    params = PhysParams(kappa1=0.7, kappa2=0.3, q=2.0)
+    val = kappa(rho, theta, params)
     assert val >= 0.7 * (1.0 + theta ** 2)
 
 
 def test_kappa_rejects_nonpositive():
     with pytest.raises(InvalidStateError):
-        kappa(1.0, 0.0, KappaModel())
+        kappa(1.0, 0.0, PhysParams())
 
 
 def test_total_energy_density_value():

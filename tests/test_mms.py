@@ -63,7 +63,7 @@ class TestForcingConsistency:
         mms = builder()
         dt = 5e-4
         state = mms.sampled_state(grid, 0.0)
-        advanced = step(state, grid, dt, PARAMS, BoundaryData.zero(),
+        advanced = step(state, grid, dt, PARAMS, BoundaryData(),
                         mms.forcing)
         exact = mms.sampled_state(grid, dt)
         assert np.abs(advanced.rho - exact.rho).max() < 5e-3
@@ -78,7 +78,7 @@ class TestForcingConsistency:
         mms = manufactured_steady()
         dt = 5e-3
         state = mms.sampled_state(grid, 0.0)
-        advanced = step(state, grid, dt, PARAMS, BoundaryData.zero(), None)
+        advanced = step(state, grid, dt, PARAMS, BoundaryData(), None)
         exact = mms.sampled_state(grid, dt)
         drift = max(np.abs(advanced.w - exact.w).max(),
                     np.abs(advanced.theta - exact.theta).max())

@@ -318,7 +318,7 @@ class TestImplicitDiffusionEigenmode:
         state = _sine_state(grid, "w")
         dt = 2e-3
         w_new = advance_transverse(state, grid, dt, params,
-                                   BoundaryData.zero(), state.rho,
+                                   BoundaryData(), state.rho,
                                    state.u)
         factor = 1.0 / (1.0 + params.mu * dt * self._lam(grid.dx))
         np.testing.assert_allclose(w_new[:, 0], factor * state.w[:, 0],
@@ -341,7 +341,7 @@ class TestStep:
     def test_advances_time(self):
         grid = GridSpec(16)
         state = make_initial_state(grid, "bump")
-        out = step(state, grid, 1e-3, PhysParams(), BoundaryData.zero())
+        out = step(state, grid, 1e-3, PhysParams(), BoundaryData())
         assert out.t == pytest.approx(1e-3)
 
     def test_uniform_is_fixed_point(self):
@@ -349,7 +349,7 @@ class TestStep:
         state = make_initial_state(grid, "uniform")
         out = state
         for _ in range(50):
-            out = step(out, grid, 1e-2, PhysParams(), BoundaryData.zero())
+            out = step(out, grid, 1e-2, PhysParams(), BoundaryData())
         assert np.abs(out.rho - 1.0).max() < 1e-14
         assert np.abs(out.u).max() < 1e-14
 
@@ -359,7 +359,7 @@ class TestRun:
         grid = GridSpec(32)
         cfg = TimeConfig(t_end=0.1)
         args = (make_initial_state(grid, "bump"), grid, PhysParams(),
-                BoundaryData.zero(), cfg)
+                BoundaryData(), cfg)
         a = run(*args)
         b = run(*args)
         np.testing.assert_array_equal(a.rho, b.rho)
@@ -369,14 +369,14 @@ class TestRun:
         grid = GridSpec(16)
         cfg = TimeConfig(t_end=0.07)
         traj = run(make_initial_state(grid, "bump"), grid, PhysParams(),
-                   BoundaryData.zero(), cfg)
+                   BoundaryData(), cfg)
         assert traj.snapshot_times[-1] == pytest.approx(0.07, abs=1e-12)
 
     def test_snapshot_stride(self):
         grid = GridSpec(16)
         cfg = TimeConfig(t_end=0.05, snapshot_stride=5)
         traj = run(make_initial_state(grid, "bump"), grid, PhysParams(),
-                   BoundaryData.zero(), cfg)
+                   BoundaryData(), cfg)
         # far fewer snapshots than accepted steps
         assert len(traj.snapshot_times) < len(traj.diagnostics) / 2
 
@@ -397,7 +397,7 @@ class TestRun:
         monkeypatch.setattr(solver, "step", step_rejecting_third)
         grid = GridSpec(16)
         traj = run(make_initial_state(grid, "bump"), grid, PhysParams(),
-                   BoundaryData.zero(), TimeConfig(t_end=0.05))
+                   BoundaryData(), TimeConfig(t_end=0.05))
         assert len(attempts) == len(accepted) + 1
         assert len(traj.diagnostics) == len(accepted) + 1
         np.testing.assert_array_equal(traj.diagnostics["t"],
@@ -415,9 +415,9 @@ class TestRun:
                                           "theta": np.ones(grid.n_cells),
                                           "u": u})
         with pytest.raises(StepFailure):
-            step(state, grid, 1e-3, PhysParams(), BoundaryData.zero())
+            step(state, grid, 1e-3, PhysParams(), BoundaryData())
         with pytest.raises(RunAborted):
-            run(state, grid, PhysParams(), BoundaryData.zero(),
+            run(state, grid, PhysParams(), BoundaryData(),
                 TimeConfig(t_end=0.1))
 
     @pytest.mark.parametrize("field", ["u", "b"])
@@ -430,7 +430,7 @@ class TestRun:
         fields[field][7] = np.nan
         with pytest.raises(RunAborted) as exc:
             run(make_initial_state(grid, fields), grid, PhysParams(),
-                BoundaryData.zero(), TimeConfig(t_end=0.1))
+                BoundaryData(), TimeConfig(t_end=0.1))
         assert exc.value.report["field"] == field
         assert exc.value.report["index"] == 7
 
@@ -439,7 +439,7 @@ class TestRun:
         cfg = TimeConfig(t_end=1.0, cfl=0.4, dt_min=0.05, dt_max=0.05)
         with pytest.raises(RunAborted) as exc:
             run(make_initial_state(grid, "uniform"), grid, PhysParams(),
-                BoundaryData.zero(), cfg)
+                BoundaryData(), cfg)
         assert "dt_min" in exc.value.report["reason"]
 
 
@@ -480,7 +480,7 @@ class TestInitialChecked:
     def test_run(self, steps, kind):
         initial, says = _bad_initial(kind)
         with pytest.raises(ValueError, match=f"initial must .*{says}"):
-            run(initial, GridSpec(32), PhysParams(), BoundaryData.zero(),
+            run(initial, GridSpec(32), PhysParams(), BoundaryData(),
                 TimeConfig(t_end=0.05))
         assert steps == []
 
@@ -489,7 +489,7 @@ class TestInitialChecked:
         from planemhd.sweep import SweepPlan, run_sweep
         initial, says = _bad_initial(kind)
         plan = SweepPlan(mu_values=(1e-2, 1e-3, 1e-4), grid=GridSpec(32),
-                         params=PhysParams(), bdry=BoundaryData.zero(),
+                         params=PhysParams(), bdry=BoundaryData(),
                          time=TimeConfig(t_end=0.05), initial=initial)
         with pytest.raises(ValueError, match=f"initial must .*{says}"):
             run_sweep(plan)
@@ -502,7 +502,7 @@ class TestLimitSystem:
         exactly zero for all time, whatever the wall data does."""
         grid = GridSpec(32)
         params = PhysParams(mu=0.0)
-        bdry = BoundaryData.cosine_ramp(1.0, 0.05)
+        bdry = BoundaryData("cosine-ramp", 1.0, 0.05)
         cfg = TimeConfig(t_end=0.2)
         init = make_initial_state(grid, "bump")
         traj = run(init, grid, params, bdry, cfg)
@@ -523,7 +523,7 @@ class TestLimitSystem:
                    "u": u, "w": w})
         params = PhysParams(mu=0.0)
         w_new = advance_transverse(state, grid, 1e-3, params,
-                                   BoundaryData.zero(), state.rho, state.u)
+                                   BoundaryData(), state.rho, state.u)
         # node integral with half weights at the walls, b = 0 so no source
         wt = np.full(n + 1, grid.dx)
         wt[0] = wt[-1] = grid.dx / 2
@@ -557,7 +557,7 @@ class TestLimitSystem:
             rho_new = 0.5 + rng.random(n)
             u_new = state.u * 0.9
             got = advance_transverse(state, grid, dt, PhysParams(mu=0.0),
-                                     BoundaryData.zero(), rho_new, u_new,
+                                     BoundaryData(), rho_new, u_new,
                                      forcing)
             rho_n_old = interpolate_to_nodes(state.rho)
             rho_n_new = interpolate_to_nodes(rho_new)
@@ -579,7 +579,7 @@ class TestLimitSystem:
 
 def _lockstep_scenario(n_cells=32):
     grid = GridSpec(n_cells)
-    bdry = BoundaryData.cosine_ramp(1.0, 0.02)
+    bdry = BoundaryData("cosine-ramp", 1.0, 0.02)
     initial = make_initial_state(grid, "transverse-rest", bdry)
     # dt_max = 5e-4 sets every step: the CFL step is about 1e-2 here
     cfg = TimeConfig(t_end=0.03, dt_max=5e-4, snapshot_stride=4)
@@ -751,8 +751,9 @@ def _admissible_runs(draw):
                 "theta": np.exp(rng.uniform(np.log(0.05), np.log(20.0), n)),
                 "u": u, "w": rng.uniform(-5.0, 5.0, (n + 1, 2)), "b": b}
     amplitude = draw(st.floats(-10.0, 10.0))
-    bdry = draw(st.sampled_from([BoundaryData.constant(amplitude),
-                                 BoundaryData.cosine_ramp(amplitude, 0.01)]))
+    bdry = draw(st.sampled_from([
+        BoundaryData("constant", amplitude),
+        BoundaryData("cosine-ramp", amplitude, 0.01)]))
     grid = GridSpec(n)
     return (make_initial_state(grid, profiles, bdry), grid,
             PhysParams(mu=draw(st.sampled_from([0.0, 1e-4, 1e-2, 1.0]))),

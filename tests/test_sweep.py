@@ -202,7 +202,7 @@ class TestBlThickness:
 
 
 class TestSweepPlan:
-    def _plan(self, mu_values, bdry=BoundaryData.zero()):
+    def _plan(self, mu_values, bdry=BoundaryData()):
         grid = GridSpec(16)
         return SweepPlan(mu_values=mu_values, grid=grid,
                          params=PhysParams(), bdry=bdry,
@@ -219,7 +219,7 @@ class TestSweepPlan:
         """A plan is plain data: it survives a pickle round trip and the
         copy runs the same sweep."""
         plan = self._plan((1e-2, 1e-3, 1e-4),
-                          BoundaryData.cosine_ramp(0.5, 0.005))
+                          BoundaryData("cosine-ramp", 0.5, 0.005))
         copy = pickle.loads(pickle.dumps(plan))
         for name in ("mu_values", "grid", "params", "bdry", "time",
                      "bl_tol", "interior_deltas"):
@@ -233,7 +233,8 @@ class TestSweepPlan:
         {"bl_tol": np.nan}, {"bl_tol": -1.0}, {"bl_tol": 0.0},
         {"interior_deltas": (0.7,)}, {"interior_deltas": (0.1, 0.5)},
         {"interior_deltas": (0.0,)}, {"interior_deltas": (np.nan,)},
-        {"bl_tol": np.inf}, {"interior_deltas": ()}])
+        {"bl_tol": np.inf}, {"interior_deltas": ()},
+        {"interior_deltas": (0.1, 0.1)}, {"interior_deltas": (0.05, 0.49)}])
     def test_rejects_bad_thickness_settings(self, kwargs):
         """bl_tol and interior_deltas are checked before any run, not by
         bl_thickness and interior_w_grad after the whole sweep."""
@@ -310,7 +311,7 @@ class TestThicknessScalingReport:
 class TestRunSweep:
     def test_small_sweep_structure(self):
         grid = GridSpec(16)
-        bdry = BoundaryData.cosine_ramp(0.5, 0.02)
+        bdry = BoundaryData("cosine-ramp", 0.5, 0.02)
         plan = SweepPlan(
             mu_values=(1e-2, 1e-3, 1e-4), grid=grid, params=PhysParams(),
             bdry=bdry, time=TimeConfig(t_end=0.05),
@@ -327,7 +328,7 @@ class TestRunSweep:
         solo runs take different steps, and the sweep members still
         share the reference's snapshot times."""
         grid = GridSpec(64)
-        bdry = BoundaryData.cosine_ramp(1.0, 0.25)
+        bdry = BoundaryData("cosine-ramp", 1.0, 0.25)
         plan = SweepPlan(
             mu_values=(1e-2, 1e-3), grid=grid, params=PhysParams(),
             bdry=bdry, time=TimeConfig(t_end=0.1),
@@ -353,7 +354,7 @@ class TestRunSweep:
 
 def _ramp_plan(n_cells, time, mu_values=(1e-2, 1e-3, 1e-4)):
     grid = GridSpec(n_cells)
-    bdry = BoundaryData.cosine_ramp(1.0, 0.25)
+    bdry = BoundaryData("cosine-ramp", 1.0, 0.25)
     return SweepPlan(
         mu_values=mu_values, grid=grid, params=PhysParams(), bdry=bdry,
         time=time, initial=make_initial_state(grid, "transverse-rest", bdry))
