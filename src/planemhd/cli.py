@@ -25,9 +25,10 @@ from .sweep import SweepPlan, run_sweep, thickness_scaling_report
 from . import verify as verify_suites
 
 
-# Rows per formatted block: a block is the unit of work of one formatter
-# call, so the writer never holds more than a few blocks of text or
-# Python floats at once. The size bounds the text in flight: at most
+# Rows per formatted block: the writer cuts every file into blocks of
+# this many rows, and a block is the unit of work of one formatter call,
+# so the writer never holds more than a few blocks of text or Python
+# floats at once. The size bounds the text in flight: at most
 # 2 x workers blocks, ~0.5 MB each for snapshots.csv (~137 bytes a row).
 # Smaller blocks start to cost wall time for little memory.
 BLOCK_ROWS = 4096
@@ -50,23 +51,28 @@ def _format_block(fmt: str, columns: list) -> str:
 
 
 class _BlockFormatter:
-    """Formats blocks of rows and writes them to a file, in order.
+    """Formats rows and writes them to a file, in order, in blocks of
+    BLOCK_ROWS rows.
 
-    A block is a list of columns, all of one length: a float array,
-    written as %.17g, or a sequence of strings. Blocks are formatted in
-    this process until a second block arrives. Then, on a platform with
-    fork and at least two usable cores, they go to a pool of forked
-    workers, which format them while the caller makes the next ones. At
-    most 2 x workers blocks are in flight, and each is written once it
-    and those before it are done. The pool is shut down on exit; on a
-    clean exit the blocks still held are written first.
+    write takes any number of rows as a list of columns, all of one
+    length: a float array, written as %.17g, or a sequence of strings.
+    They are copied into the next block of BLOCK_ROWS rows, and a full
+    block is sent on when a further row arrives, or on exit. A file of
+    one block is formatted in this process. Once a file's rows pass its
+    first block, on a platform with fork and at least two usable cores,
+    the blocks go to a pool of forked workers, which format them while
+    the caller makes the next rows. At most 2 x workers blocks are in
+    flight, and each is written once it and those before it are done.
+    The pool is shut down on exit; on a clean exit the rows still held
+    are written first.
     """
 
     def __init__(self, file):
         self.file = file
         self.fmt = None
         self.workers = _usable_cores() if hasattr(os, "fork") else 1
-        self.first = None       # held until a second block starts the pool
+        self.block = None       # the next block, filled to self.rows
+        self.rows = 0
         self.pool = None
         self.pending = deque()
 
@@ -74,19 +80,28 @@ class _BlockFormatter:
         if self.fmt is None:
             self.fmt = ",".join("%.17g" if isinstance(c, np.ndarray)
                                 else "%s" for c in columns) + "\n"
-        if self.workers > 1 and self.pool is None:
-            if self.first is None:
-                self.first = columns
-                return
-            # imported here, so that commands writing no multi-block
-            # file do not pay their import time and memory
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            self.pool = ProcessPoolExecutor(
-                self.workers, mp_context=multiprocessing.get_context("fork"))
-            self._submit(self.first)
-            self.first = None
-        self._submit(columns)
+        i, n = 0, len(columns[0])
+        while i < n:
+            if self.rows == BLOCK_ROWS:
+                if self.workers > 1 and self.pool is None:
+                    # imported here, so that commands writing no
+                    # multi-block file do not pay their import time
+                    import multiprocessing
+                    from concurrent.futures import ProcessPoolExecutor
+                    self.pool = ProcessPoolExecutor(
+                        self.workers,
+                        mp_context=multiprocessing.get_context("fork"))
+                self._submit(self.block)
+                self.rows = 0
+            if self.rows == 0:
+                # a new block each time: the pool may not have read the last
+                self.block = [np.empty(BLOCK_ROWS) if isinstance(c, np.ndarray)
+                              else [None] * BLOCK_ROWS for c in columns]
+            k = min(n - i, BLOCK_ROWS - self.rows)
+            for block, c in zip(self.block, columns):
+                block[self.rows:self.rows + k] = c[i:i + k]
+            i += k
+            self.rows += k
 
     def _submit(self, columns: list) -> None:
         if self.pool is None:
@@ -104,8 +119,8 @@ class _BlockFormatter:
     def __exit__(self, exc_type, exc, tb):
         try:
             if exc_type is None:
-                if self.first is not None:
-                    self._submit(self.first)
+                if self.rows:
+                    self._submit([c[:self.rows] for c in self.block])
                 while self.pending:
                     self.file.write(self.pending.popleft().result())
         finally:
@@ -115,11 +130,11 @@ class _BlockFormatter:
 
 @contextmanager
 def _csv_writer(path: Path, header: str, names):
-    """Yield write(block), which adds one block of rows (see
-    _BlockFormatter) to a CSV file of the header line, the column names
-    and the rows. The file is written under a temporary name beside
-    path and moved to path on a clean exit; on an exception it is
-    removed and path is left as it was."""
+    """Yield write(columns), which adds rows (see _BlockFormatter) to a
+    CSV file of the header line, the column names and the rows. The
+    file is written under a temporary name beside path and moved to
+    path on a clean exit; on an exception it is removed and path is
+    left as it was."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with tmp.open("w") as f, _BlockFormatter(f) as blocks:
@@ -132,53 +147,9 @@ def _csv_writer(path: Path, header: str, names):
 
 
 def _write_csv(path: Path, header: str, columns: dict) -> None:
-    """Write a whole table: columns maps each name to its values, which
-    are written in blocks of BLOCK_ROWS rows."""
-    values = list(columns.values())
+    """Write a whole table: columns maps each name to its values."""
     with _csv_writer(path, header, columns) as write:
-        for i in range(0, len(values[0]), BLOCK_ROWS):
-            write([c[i:i + BLOCK_ROWS] for c in values])
-
-
-class _SnapshotBlocks:
-    """on_snapshot hook of a one-member run that writes snapshots.csv.
-
-    It copies each snapshot's node values into a block of
-    BLOCK_ROWS // (N+1) whole snapshots and passes each full block to
-    write; flush passes the last, partial one.
-    """
-
-    def __init__(self, grid, write):
-        self.write = write
-        self.nodes = ["%.17g" % x for x in grid.node_positions.tolist()]
-        self.size = max(BLOCK_ROWS // len(self.nodes), 1)
-        self.times = []
-        self.values = None
-
-    def __call__(self, state, members) -> None:
-        if not self.times:
-            # a new array per block: the pool may not have read the last
-            self.values = np.empty((len(SNAPSHOT_COLUMNS) - 2, self.size,
-                                    len(self.nodes)))
-        row = self.values[:, len(self.times)]
-        self.times.append(state.t)
-        row[0] = interpolate_to_nodes(state.rho[0])
-        row[1] = state.u[0]
-        row[2:4] = state.w[0].T
-        row[4:6] = state.b[0].T
-        row[6] = interpolate_to_nodes(state.theta[0])
-        if len(self.times) == self.size:
-            self.flush()
-
-    def flush(self) -> None:
-        n = len(self.times)
-        if n == 0:
-            return
-        # t and x repeat across rows: format each distinct value once
-        times = ["%.17g" % t for t in self.times]
-        self.write([[t for t in times for _ in self.nodes], self.nodes * n,
-                    *self.values[:, :n].reshape(len(self.values), -1)])
-        self.times = []
+        write(list(columns.values()))
 
 
 def _load_config(args) -> RunConfig:
@@ -214,13 +185,19 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
     try:
         with _csv_writer(outdir / "snapshots.csv", tag,
                          SNAPSHOT_COLUMNS) as write:
-            snapshots = _SnapshotBlocks(grid, write)
+            nodes = ["%.17g" % x for x in grid.node_positions.tolist()]
+
+            def on_snapshot(state, members):
+                write([["%.17g" % state.t] * len(nodes), nodes,
+                       interpolate_to_nodes(state.rho[0]), state.u[0],
+                       *state.w[0].T, *state.b[0].T,
+                       interpolate_to_nodes(state.theta[0])])
+
             (diag,) = run_lockstep(initial, grid, params, bdry, tcfg,
-                                   (params.mu,), on_snapshot=snapshots,
+                                   (params.mu,), on_snapshot=on_snapshot,
                                    store=())
             if isinstance(diag, RunAborted):
                 raise diag
-            snapshots.flush()
     except RunAborted as exc:
         code, payload = 1, {"status": "aborted", "failure": exc.report}
     else:
@@ -260,9 +237,11 @@ def _fit_dict(fit):
 
 
 def _status(result) -> list:
-    """Per-mu status column: failed runs have saturated None."""
-    return [{None: "failed", True: "saturated", False: "ok"}[s]
-            for s in result.saturated]
+    """Per-mu status column: failed runs have saturated None, and runs
+    with no deviation above bl_tol anywhere have delta* = 0."""
+    return ["no-layer" if d == 0 else
+            {None: "failed", True: "saturated", False: "ok"}[s]
+            for s, d in zip(result.saturated, result.deltas)]
 
 
 def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:

@@ -282,10 +282,6 @@ def make_initial_state(grid: GridSpec, profiles: _Profiles = "uniform",
     u = np.asarray(profiles.get("u", np.zeros(n + 1)), dtype=float)
     w = np.asarray(profiles.get("w", np.zeros((n + 1, 2))), dtype=float)
     b = np.asarray(profiles.get("b", np.zeros((n + 1, 2))), dtype=float)
-    if u[0] != 0.0 or u[-1] != 0.0:
-        raise InvalidStateError("tabulated u must vanish at the walls")
-    if np.any(b[0] != 0.0) or np.any(b[-1] != 0.0):
-        raise InvalidStateError("tabulated b must vanish at the walls")
     if bdry is not None:
         w = np.array(w)
         w[0] = w[-1] = bdry.at(0.0)

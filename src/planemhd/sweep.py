@@ -52,7 +52,8 @@ class BLThickness(NamedTuple):
 def bl_thickness(traj: Trajectory, reference: Trajectory, tol: float,
                  grid: GridSpec) -> BLThickness:
     """Smallest grid multiple of dx (up to 1/4) whose interior excludes
-    all deviations above tol; saturates at 1/4 if none qualifies."""
+    all deviations above tol; saturates at 1/4 if none qualifies, and
+    is 0 (no layer) if no deviation anywhere exceeds tol."""
     if not tol > 0:                 # NaN fails too
         raise ValueError("tol must be positive")
     return _thickness(deviation_profile(traj, reference), tol, grid)
@@ -62,6 +63,8 @@ def _thickness(profile: Tuple[np.ndarray, np.ndarray], tol: float,
                grid: GridSpec) -> BLThickness:
     """bl_thickness from the time-max deviation profile: each candidate
     interior is a mask over it."""
+    if max(profile[0].max(), profile[1].max()) <= tol:
+        return BLThickness(delta=0.0, saturated=False)
     k = 1
     while k * grid.dx <= BL_DELTA_CEILING + 1e-12:
         delta = k * grid.dx
@@ -251,7 +254,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
                    if e is not None and e.combined > 0]
     thick_points = [(mu, d)
                     for mu, d, sat in zip(plan.mu_values, deltas, saturated)
-                    if d is not None and not sat]
+                    if d and not sat]       # None: failed, 0: no layer
     rate_fit = fit_power_law(rate_points) if len(rate_points) >= 3 else None
     thickness_fit = (fit_power_law(thick_points)
                      if len(thick_points) >= 3 else None)
@@ -337,18 +340,14 @@ def thickness_scaling_report(result: SweepResult) -> ThicknessReport:
             rows.append(TauTableRow(mu=mu, delta=delta,
                                     tau=float(np.sqrt(mu) / delta),
                                     w_grad_interior=g))
-    fitted = [(r.tau, r.w_grad_interior) for r in rows if r.tau <= 1.0]
-    if len(fitted) < 2:
-        raise ValueError("need at least 2 rows with tau <= 1 for the "
-                         "envelope fit")
-    tau = np.array([p[0] for p in fitted])
-    g = np.array([p[1] for p in fitted])
     binding: dict = {}
-    for t, v in zip(tau, g):      # one point per tau: the binding one
-        binding[t] = max(binding.get(t, -np.inf), v)
+    for r in rows:          # one point per tau <= 1: the binding one
+        if r.tau <= 1.0:
+            binding[r.tau] = max(binding.get(r.tau, -np.inf),
+                                 r.w_grad_interior)
     if len(binding) < 2:
-        raise ValueError("envelope fit needs at least 2 distinct tau "
-                         "values")
+        raise ValueError("need at least 2 distinct tau <= 1 for the "
+                         "envelope fit")
     tau = np.array(sorted(binding))
     g = np.array([binding[t] for t in tau])
     c1, c2, mean_slack = _envelope(tau, g)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -264,6 +265,27 @@ class TestSweepCommand:
                                     "reason": "CFL step below dt_min",
                                     "field": "u", "index": 0}}
 
+    def test_members_without_layer(self, tmp_path):
+        """Members that never leave the reference by more than bl_tol
+        read delta* = 0 and the status no-layer, and bl fits no alpha to
+        them."""
+        text = "\n".join(["[grid]", "n_cells = 16", "[time]", "t_end = 0.05",
+                          "[initial]", "preset = transverse-rest"]) + "\n"
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[2:]
+        assert len(rows) == 4
+        assert all(r.endswith(",0,0,0,0,no-layer") for r in rows)
+        assert json.loads((out / "fits.json").read_text())["thickness"] \
+            is None
+        assert main(["bl", "--config", cfg, "--out", str(out)]) == 1
+        rows = (out / "thickness.csv").read_text().splitlines()[2:]
+        assert [r.split(",", 1)[1] for r in rows] == ["0,no-layer"] * 4
+        fits = json.loads((out / "bl_fits.json").read_text())
+        assert "alpha" not in fits
+        assert fits["error"].startswith("need at least 3 non-saturated")
+
     def test_bl_outputs(self, tmp_path):
         cfg = _write(tmp_path, SWEEP_CFG)
         out = tmp_path / "out"
@@ -312,6 +334,55 @@ def test_write_csv_blocks_match_one_format(tmp_path, monkeypatch, cores):
         "%.17g,%s\n" % row for row in zip(floats.tolist(), labels))
     assert path.read_bytes() == want.encode()
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_block_formatter_cuts_rows_into_blocks(tmp_path, monkeypatch, cores):
+    """Writes of any number of rows, float and string columns, have the
+    bytes of one %-format per row, and every block but the last that is
+    handed on to be formatted has exactly BLOCK_ROWS rows."""
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    blocks = []
+    submit = cli._BlockFormatter._submit
+
+    def recording(self, columns):
+        blocks.append(len(columns[0]))
+        submit(self, columns)
+
+    monkeypatch.setattr(cli._BlockFormatter, "_submit", recording)
+    sizes = [1, cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS + 1, 3 * cli.BLOCK_ROWS]
+    rng = np.random.default_rng(3)
+    writes = [(rng.normal(size=n), [f"s{i % 5}" for i in range(n)])
+              for n in sizes]
+    path = tmp_path / "out.csv"
+    with path.open("w") as f, cli._BlockFormatter(f) as formatter:
+        for floats, labels in writes:
+            formatter.write([floats, labels])
+    assert path.read_text() == "".join(
+        "%.17g,%s\n" % row for floats, labels in writes
+        for row in zip(floats.tolist(), labels))
+    assert sum(blocks) == sum(sizes)
+    assert set(blocks[:-1]) == {cli.BLOCK_ROWS}
+    assert multiprocessing.active_children() == []
+
+
+def test_one_block_file_starts_no_pool(tmp_path, monkeypatch):
+    """A file of at most BLOCK_ROWS rows, in one write or in several, is
+    formatted in this process also on two cores: no pool is started."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-block file started a pool")
+
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    values = np.arange(float(cli.BLOCK_ROWS))
+    want = "# tag\nv\n" + "".join("%.17g\n" % v for v in values.tolist())
+    path = tmp_path / "out.csv"
+    cli._write_csv(path, "# tag", {"v": values})
+    assert path.read_text() == want
+    with cli._csv_writer(path, "# tag", ["v"]) as write:
+        for part in np.split(values, [1, 2, 100]):
+            write([part])
+    assert path.read_text() == want
 
 
 def test_block_formatter_bounds_blocks_in_flight(tmp_path, monkeypatch):

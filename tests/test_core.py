@@ -259,6 +259,15 @@ class TestMakeInitialState:
             make_initial_state(GridSpec(n), {"rho": np.ones(n),
                                              "theta": np.ones(n), "u": u})
 
+    def test_tabulated_u_of_wrong_shape(self):
+        """A misshapen tabulated u is refused by FlowState's own shape
+        check, as any misshapen state is."""
+        n = 8
+        with pytest.raises(InvalidStateError, match="u must be node-center"):
+            make_initial_state(GridSpec(n), {"rho": np.ones(n),
+                                             "theta": np.ones(n),
+                                             "u": np.zeros((n + 1, 2))})
+
     def test_boundary_data_sets_wall_w(self):
         bd = BoundaryData("constant", 0.7)
         s = make_initial_state(GridSpec(8), "transverse-rest", bd)

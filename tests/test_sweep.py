@@ -159,6 +159,16 @@ class TestBlThickness:
         assert bl.saturated
         assert bl.delta == BL_DELTA_CEILING
 
+    def test_no_layer(self):
+        """A run that never leaves the reference by more than tol has
+        no layer: delta* = 0, not the one-cell interior."""
+        grid = GridSpec(64)
+        ref = _layer_trajectory(grid, 1.0, amplitude=0.0)
+        weak = _layer_trajectory(grid, 0.02, amplitude=0.01)
+        for traj in (ref, weak):
+            assert bl_thickness(traj, ref, 0.05, grid) == BLThickness(
+                delta=0.0, saturated=False)
+
     def test_tol_validation(self):
         grid = GridSpec(64)
         ref = _layer_trajectory(grid, 1.0, amplitude=0.0)
@@ -173,7 +183,8 @@ class TestBlThickness:
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force(self, n, layers, tol):
         """The one-pass scan returns exactly the smallest k with
-        interior_sup_deviation(k*dx) <= tol, else saturates."""
+        interior_sup_deviation(k*dx) <= tol, else saturates; 0 when no
+        deviation anywhere exceeds tol."""
         grid = GridSpec(n)
         xc, xn = grid.cell_centers, grid.node_positions
         states = []
@@ -191,9 +202,12 @@ class TestBlThickness:
             [FlowState(t=s.t, rho=rest.rho, u=rest.u, w=rest.w, b=rest.b,
                        theta=rest.theta) for s in states],
             (None,) * len(states))
-        expected = BLThickness(delta=BL_DELTA_CEILING, saturated=True)
+        deviates = max(np.abs(getattr(traj, name) - getattr(ref, name)).max()
+                       for name in STATE_FIELDS) > tol
+        expected = (BLThickness(delta=BL_DELTA_CEILING, saturated=True)
+                    if deviates else BLThickness(delta=0.0, saturated=False))
         k = 1
-        while k * grid.dx <= BL_DELTA_CEILING + 1e-12:
+        while deviates and k * grid.dx <= BL_DELTA_CEILING + 1e-12:
             if interior_sup_deviation(traj, ref, k * grid.dx, grid) <= tol:
                 expected = BLThickness(delta=k * grid.dx, saturated=False)
                 break
@@ -307,6 +321,19 @@ class TestThicknessScalingReport:
         with pytest.raises(ValueError, match="at least 3 non-saturated"):
             thickness_scaling_report(result)
 
+    @pytest.mark.parametrize("interior", [
+        {0.125: [1.0, 0.5, None, None]},
+        {0.25: [None, 0.5, None, None], 0.125: [None, None, 0.4, None]}],
+        ids=["one-row", "shared-tau"])
+    def test_raises_without_two_distinct_tau(self, interior):
+        """The envelope needs two distinct tau <= 1: one such row, or
+        two rows at one tau, give none."""
+        # sqrt(mu) = 1/4, 1/8, 1/16, 1/32, so each tau is exact
+        mu = (2.0 ** -4, 2.0 ** -6, 2.0 ** -8, 2.0 ** -10)
+        result = replace(_synthetic_result(interior), mu_values=mu)
+        with pytest.raises(ValueError, match="2 distinct tau <= 1"):
+            thickness_scaling_report(result)
+
 
 class TestRunSweep:
     def test_small_sweep_structure(self):
@@ -322,6 +349,20 @@ class TestRunSweep:
         assert len(result.interior_w_grads[0.1]) == 3
         # the mu = 0 reference keeps the transverse fields at rest
         assert np.all(result.reference.w == 0.0)
+
+    def test_members_without_layer(self):
+        """With a wall at rest the transverse fields never leave the
+        reference: every member has delta* = 0, and no thickness is
+        fitted to the one-cell interiors."""
+        grid = GridSpec(16)
+        plan = SweepPlan(
+            mu_values=(1e-2, 1e-3, 1e-4), grid=grid, params=PhysParams(),
+            bdry=BoundaryData(), time=TimeConfig(t_end=0.05),
+            initial=make_initial_state(grid, "transverse-rest"))
+        result = run_sweep(plan)
+        assert result.deltas == [0.0] * 3
+        assert result.saturated == [False] * 3
+        assert result.thickness_fit is None
 
     def test_cfl_bound_sweep_completes(self):
         """Where the CFL limit sets dt, it depends on |b| and so on mu:
