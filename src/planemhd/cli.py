@@ -1,4 +1,4 @@
-"""Command-line entry point: run | limit | sweep | bl | verify.
+"""Command-line entry point: run | limit | sweep | verify.
 
 All CSV output is deterministic (fixed column order, 17-significant-digit
 floats) and every file starts with a comment line carrying the resolved
@@ -21,7 +21,7 @@ from .config import ConfigError, RunConfig, config_hash, parse_config, \
     render_config
 from .core import interpolate_to_nodes, make_initial_state
 from .solver import RunAborted, run_lockstep
-from .sweep import SweepPlan, run_sweep, thickness_scaling_report
+from .sweep import SweepPlan, report, run_sweep
 from . import verify as verify_suites
 
 
@@ -213,86 +213,34 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
     return code
 
 
-def _sweep(cfg: RunConfig, fits_path: Path):
-    """run_sweep on the config's plan; None, after writing fits_path
-    with the failure report, if the mu = 0 reference run aborted."""
+def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
+    """Integrate the sweep once and write its report: sweep.csv and
+    tau_table.csv (none when there is no envelope) are its tables, and
+    fits.json the rest. If the mu = 0 reference aborts, fits.json holds
+    its failure report and nothing else is written."""
     grid, params, bdry, initial, tcfg = _scenario(cfg)
     plan = SweepPlan(mu_values=cfg.mu_values(), grid=grid, params=params,
                      bdry=bdry, time=tcfg, initial=initial,
                      bl_tol=cfg.bl_tol(),
                      interior_deltas=cfg.interior_deltas())
     try:
-        return run_sweep(plan)
+        result = run_sweep(plan)
     except RunAborted as exc:
-        _write_json(fits_path, cfg,
+        _write_json(outdir / "fits.json", cfg,
                     {"status": "aborted", "failure": exc.report})
-        return None
-
-
-def _fit_dict(fit):
-    if fit is None:
-        return None
-    return {"exponent": fit.exponent, "prefactor": fit.prefactor,
-            "max_log_residual": fit.max_log_residual}
-
-
-def _status(result) -> list:
-    """Per-mu status column: failed runs have saturated None, and runs
-    with no deviation above bl_tol anywhere have delta* = 0."""
-    return ["no-layer" if d == 0 else
-            {None: "failed", True: "saturated", False: "ok"}[s]
-            for s, d in zip(result.saturated, result.deltas)]
-
-
-def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
-    result = _sweep(cfg, outdir / "fits.json")
-    if result is None:
         return 1
+    fits = report(result)
     tag = f"# config_hash={config_hash(cfg)}"
-    # a failed run has no errors and no delta*: its row reads nan
-    errors = np.array([(None,) * 3 if e is None else
-                       (e.combined, e.state_error, e.gradient_error)
-                       for e in result.errors], dtype=float)
-    _write_csv(outdir / "sweep.csv", tag, {
-        "mu": np.array(result.mu_values),
-        "combined_error": errors[:, 0], "state_error": errors[:, 1],
-        "gradient_error": errors[:, 2],
-        "delta_star": np.array(result.deltas, dtype=float),
-        "status": _status(result)})
-    _write_json(outdir / "fits.json", cfg, {
-        "rate": _fit_dict(result.rate_fit),
-        "thickness": _fit_dict(result.thickness_fit),
-        "scaled_w_grad": result.scaled_w_grad,
-        "failures": result.failures})
-    ok = all(f is None for f in result.failures)
-    return 0 if ok else 1
-
-
-def cmd_bl(cfg: RunConfig, outdir: Path) -> int:
-    result = _sweep(cfg, outdir / "bl_fits.json")
-    if result is None:
-        return 1
-    tag = f"# config_hash={config_hash(cfg)}"
-    _write_csv(outdir / "thickness.csv", tag, {
-        "mu": np.array(result.mu_values),
-        "delta_star": np.array(result.deltas, dtype=float),
-        "status": _status(result)})
-    try:
-        report = thickness_scaling_report(result)
-    except ValueError as exc:
-        _write_json(outdir / "bl_fits.json", cfg, {"error": str(exc)})
-        return 1
-    _write_csv(outdir / "tau_table.csv", tag, {
-        name: np.array([getattr(r, name) for r in report.tau_table])
-        for name in ("mu", "delta", "tau", "w_grad_interior")})
-    _write_json(outdir / "bl_fits.json", cfg, {
-        "alpha": _fit_dict(report.alpha_fit),
-        "excluded_saturated": list(report.excluded_saturated),
-        "envelope_c1": report.envelope_c1,
-        "envelope_c2": report.envelope_c2,
-        "envelope_rel_residual": report.envelope_rel_residual})
-    ok = all(f is None for f in result.failures)
-    return 0 if ok else 1
+    for name, table in (("sweep.csv", fits.pop("members")),
+                        ("tau_table.csv", fits.pop("tau_table"))):
+        if table is not None:
+            # a failed member's None reads nan
+            _write_csv(outdir / name, tag, {
+                column: values if column == "status" else
+                np.array(values, dtype=float)
+                for column, values in table.items()})
+    _write_json(outdir / "fits.json", cfg, fits)
+    return 0 if all(f is None for f in fits["failures"]) else 1
 
 
 def cmd_verify(cfg: RunConfig, outdir: Path) -> int:
@@ -311,7 +259,7 @@ def main(argv=None) -> int:
         description="1-D plane-MHD solver and vanishing-shear-viscosity "
                     "experiment harness")
     parser.add_argument("command",
-                        choices=("run", "limit", "sweep", "bl", "verify"))
+                        choices=("run", "limit", "sweep", "verify"))
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--mu", type=float, default=None)
@@ -333,8 +281,6 @@ def main(argv=None) -> int:
         return cmd_run(cfg, outdir)
     if args.command == "sweep":
         return cmd_sweep(cfg, outdir)
-    if args.command == "bl":
-        return cmd_bl(cfg, outdir)
     return cmd_verify(cfg, outdir)
 
 

@@ -1,9 +1,11 @@
-"""mu-sweep orchestration, power-law rate fits, and boundary-layer
-thickness estimation against the mu = 0 reference run."""
+"""mu-sweep orchestration, power-law rate fits, boundary-layer
+thickness estimation against the mu = 0 reference run, and the one
+report of a sweep's numbers (report)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -276,8 +278,7 @@ class TauTableRow:
 
 @dataclass(frozen=True)
 class ThicknessReport:
-    alpha_fit: PowerLawFit
-    excluded_saturated: Tuple[float, ...]
+    alpha_fit: Optional[PowerLawFit]
     tau_table: Tuple[TauTableRow, ...]
     envelope_c1: float
     envelope_c2: float
@@ -316,10 +317,12 @@ def _envelope(tau: np.ndarray, g: np.ndarray) -> Tuple[float, float, float]:
 
 
 def thickness_scaling_report(result: SweepResult) -> ThicknessReport:
-    """Report run_sweep's fit delta*(mu) ~ mu**alpha (thickness_fit) and
-    tabulate the interior transverse gradient norm against
-    tau = sqrt(mu)/delta with an affine envelope fitted over the points
-    with tau <= 1.
+    """Report run_sweep's fit delta*(mu) ~ mu**alpha (thickness_fit,
+    None when fewer than 3 members are ok) and tabulate the interior
+    transverse gradient norm against tau = sqrt(mu)/delta with an affine
+    envelope fitted over the points with tau <= 1. The envelope does not
+    use the alpha fit; it raises ValueError when there are fewer than 2
+    distinct tau <= 1.
 
     The envelope is the affine function that dominates every tabulated
     point while minimizing the mean slack (the least upper affine bound
@@ -327,11 +330,6 @@ def thickness_scaling_report(result: SweepResult) -> ThicknessReport:
     over the mean tau (see _envelope). The residual is the achieved
     mean slack relative to the largest tabulated norm, so it is small
     exactly when the binding points hug an affine profile."""
-    if result.thickness_fit is None:
-        raise ValueError("need at least 3 non-saturated thickness "
-                         "estimates for a fit")
-    excluded = tuple(mu for mu, sat in
-                     zip(result.mu_values, result.saturated) if sat)
     rows = []
     for delta, vals in sorted(result.interior_w_grads.items()):
         for mu, g in zip(result.mu_values, vals):
@@ -353,7 +351,78 @@ def thickness_scaling_report(result: SweepResult) -> ThicknessReport:
     c1, c2, mean_slack = _envelope(tau, g)
     rel = float(mean_slack / max(g.max(), 1e-300))
     return ThicknessReport(alpha_fit=result.thickness_fit,
-                           excluded_saturated=excluded,
                            tau_table=tuple(rows),
                            envelope_c1=c1, envelope_c2=c2,
                            envelope_rel_residual=rel)
+
+
+STATUSES = ("ok", "saturated", "no-layer", "failed")
+
+
+def _left_out(need: str, kept: Sequence[bool], status: Sequence[str]) -> str:
+    """Why a fit cannot be made: what it needs, how many members it kept,
+    and the members it left out, counted by status."""
+    left = Counter(s for s, k in zip(status, kept) if not k)
+    causes = ", ".join(f"{left[s]} {s}" for s in STATUSES if left[s])
+    return f"{need}; kept {sum(kept)}, left out {causes or 'none'}"
+
+
+def report(result: SweepResult) -> dict:
+    """Every number of a sweep, in plain values, for fits.json and the
+    CSV tables.
+
+    "members" holds, per mu value in order, the errors, delta* and the
+    status: ok; saturated, when no interior up to delta = 1/4 excludes
+    the deviations above bl_tol; no-layer, when none exceeds bl_tol
+    (delta* = 0); failed, when the run aborted (its values are None).
+    "rate" is the fit error ~ mu**p over the members with a nonzero
+    error, "alpha" the fit delta* ~ mu**alpha over the ok members, and
+    "envelope" the tau table's affine envelope, with the table, as
+    columns, in "tau_table". A fit that cannot be made is None, and
+    "<fit>_reason" beside it says why (see _left_out); the tau table is
+    None with the envelope."""
+    status = ["no-layer" if d == 0 else
+              {None: "failed", True: "saturated", False: "ok"}[s]
+              for s, d in zip(result.saturated, result.deltas)]
+
+    def errors(name):
+        return [None if e is None else getattr(e, name)
+                for e in result.errors]
+
+    out = {
+        "members": {
+            "mu": list(result.mu_values),
+            "combined_error": errors("combined"),
+            "state_error": errors("state_error"),
+            "gradient_error": errors("gradient_error"),
+            "delta_star": list(result.deltas), "status": status},
+        "rate": None, "rate_reason": None,
+        "alpha": None, "alpha_reason": None,
+        "envelope": None, "envelope_reason": None, "tau_table": None,
+        "excluded_saturated": [mu for mu, s in zip(result.mu_values, status)
+                               if s == "saturated"],
+        "scaled_w_grad": result.scaled_w_grad,
+        "failures": result.failures}
+    if result.rate_fit is None:
+        out["rate_reason"] = _left_out(
+            "the rate fit needs 3 members with a nonzero error",
+            [e is not None and e.combined > 0 for e in result.errors], status)
+    else:
+        out["rate"] = asdict(result.rate_fit)
+    if result.thickness_fit is None:
+        out["alpha_reason"] = _left_out("the alpha fit needs 3 ok members",
+                                        [s == "ok" for s in status], status)
+    else:
+        out["alpha"] = asdict(result.thickness_fit)
+    try:
+        thick = thickness_scaling_report(result)
+    except ValueError as exc:       # fewer than 2 distinct tau <= 1
+        out["envelope_reason"] = _left_out(
+            str(exc), [s != "failed" for s in status], status)
+    else:
+        out["envelope"] = {"c1": thick.envelope_c1, "c2": thick.envelope_c2,
+                           "rel_residual": thick.envelope_rel_residual}
+        out["tau_table"] = {
+            name: [getattr(r, name) for r in thick.tau_table]
+            for name in ("mu", "delta", "tau", "w_grad_interior")}
+    return out

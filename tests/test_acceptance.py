@@ -2,7 +2,8 @@
 single pass/fail line with the measured value and its threshold.
 
 The mu-sweep criteria (8 through 11) share one module-scoped sweep so
-the expensive runs happen once.
+the expensive runs happen once, and read its numbers from sweep.report,
+which `planemhd sweep` writes.
 """
 
 from dataclasses import replace
@@ -17,7 +18,7 @@ from planemhd.core import (BoundaryData, GridSpec, PhysParams,
 from planemhd.diagnostics import (energy_balance_residual,
                                   entropy_monotonicity)
 from planemhd.solver import TimeConfig, run, step
-from planemhd.sweep import SweepPlan, run_sweep, thickness_scaling_report
+from planemhd.sweep import SweepPlan, report, run_sweep
 from planemhd.verify import (check_manufactured_orders,
                              check_oracle_equivalence)
 
@@ -59,7 +60,8 @@ def sweep():
                      initial=make_initial_state(grid, "transverse-rest",
                                                 bdry),
                      bl_tol=0.05)
-    return plan, run_sweep(plan)
+    result = run_sweep(plan)
+    return result, report(result)
 
 
 # ---------------------------------------------------------------- criteria
@@ -177,28 +179,27 @@ def test_criterion_07_degenerate_limit():
 
 
 def test_criterion_08_vanishing_viscosity_rate(sweep):
-    _, result = sweep
-    errs = [e.combined for e in result.errors]
+    _, rep = sweep
+    errs = rep["members"]["combined_error"]
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))
-    fit = result.rate_fit
-    ok = (decreasing and fit is not None and fit.exponent >= 0.2
-          and fit.max_log_residual <= 0.5)
+    fit = rep["rate"]
+    ok = (decreasing and fit is not None and fit["exponent"] >= 0.2
+          and fit["max_log_residual"] <= 0.5)
     _report(8, "vanishing-viscosity rate", ok,
             f"errors {['%.3g' % e for e in errs]} decreasing={decreasing}, "
-            f"exponent {fit.exponent:.3f} >= 0.2, "
-            f"log residual {fit.max_log_residual:.3f} <= 0.5")
+            f"exponent {fit['exponent']:.3f} >= 0.2, "
+            f"log residual {fit['max_log_residual']:.3f} <= 0.5")
 
 
 def test_criterion_09_boundary_layer_thickness(sweep):
-    _, result = sweep
-    deltas = result.deltas
+    result, rep = sweep
+    deltas = rep["members"]["delta_star"]
     nonincreasing = all(a >= b for a, b in zip(deltas, deltas[1:]))
     # the mu = 0 reference keeps w identically zero, so the full-domain
     # sup-deviation of each run is its own max |w|
     assert np.all(result.reference.w == 0.0)
     sup_dev = min(s.max_abs_w for s in result.summaries)
-    report = thickness_scaling_report(result)
-    alpha = report.alpha_fit.exponent
+    alpha = rep["alpha"]["exponent"]
     ok = nonincreasing and sup_dev >= 0.9 and 0.2 < alpha < 0.6
     _report(9, "boundary-layer thickness", ok,
             f"delta* {['%.3g' % d for d in deltas]} "
@@ -207,12 +208,12 @@ def test_criterion_09_boundary_layer_thickness(sweep):
 
 
 def test_criterion_10_uniform_diagnostics(sweep):
-    _, result = sweep
+    result, rep = sweep
     ratios = {}
     for name in ("max_theta", "min_theta", "max_rho", "min_rho"):
         vals = [getattr(s, name) for s in result.summaries]
         ratios[name] = max(vals) / min(vals)
-    scaled = result.scaled_w_grad
+    scaled = rep["scaled_w_grad"]
     scaled_ratio = max(scaled) / min(scaled)
     ok = all(r <= 2.0 for r in ratios.values()) and scaled_ratio <= 10.0
     worst = max(ratios.values())
@@ -222,14 +223,15 @@ def test_criterion_10_uniform_diagnostics(sweep):
 
 
 def test_criterion_11_tau_table_envelope(sweep):
-    _, result = sweep
-    report = thickness_scaling_report(result)
-    c1, c2 = report.envelope_c1, report.envelope_c2
-    rel = report.envelope_rel_residual
+    _, rep = sweep
+    envelope, table = rep["envelope"], rep["tau_table"]
+    c1, c2 = envelope["c1"], envelope["c2"]
+    rel = envelope["rel_residual"]
     finite = np.isfinite(c1) and np.isfinite(c2)
     # the fitted line must dominate every tabulated point with tau <= 1
-    dominated = all(r.w_grad_interior <= c1 * r.tau + c2 + 1e-12
-                    for r in report.tau_table if r.tau <= 1.0)
+    dominated = all(g <= c1 * tau + c2 + 1e-12
+                    for tau, g in zip(table["tau"], table["w_grad_interior"])
+                    if tau <= 1.0)
     ok = finite and dominated and rel <= 0.2
     _report(11, "tau-table affine envelope", ok,
             f"c1 {c1:.3f}, c2 {c2:.3f}, envelope residual {rel:.3f} <= 0.2,"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import planemhd
-from planemhd import cli
+from planemhd import cli, sweep
 from planemhd.cli import main
 from planemhd.config import config_hash, parse_config
 from planemhd.core import interpolate_to_nodes, make_initial_state
@@ -120,6 +120,17 @@ class TestArguments:
         assert err.startswith(f"config error: {message}")
         assert "line" not in err
 
+    def test_unknown_command(self, tmp_path, capsys):
+        """bl, folded into sweep, is refused as any unknown command is,
+        before any output."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["bl", "--config", _write(tmp_path, SWEEP_CFG),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bl'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_outputs(self, tmp_path):
@@ -215,26 +226,54 @@ class TestRunCommand:
 
 
 class TestSweepCommand:
-    def test_outputs(self, tmp_path):
+    def test_outputs(self, tmp_path, monkeypatch):
+        """One integration writes the three files of the report."""
+        calls = []
+        real = sweep.run_lockstep
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "run_lockstep", counted)
         cfg = _write(tmp_path, SWEEP_CFG)
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fits.json", "sweep.csv", "tau_table.csv"]
         rows = (out / "sweep.csv").read_text().splitlines()
         assert rows[1].split(",")[0] == "mu"
         assert len(rows) == 5
         fits = json.loads((out / "fits.json").read_text())
-        assert "rate" in fits and "scaled_w_grad" in fits
+        assert "scaled_w_grad" in fits
+        assert fits["rate"] is not None and fits["rate_reason"] is None
+
+    def test_bl_outputs(self, tmp_path):
+        """The boundary-layer half of the report, which the bl command
+        wrote to thickness.csv and bl_fits.json, is in sweep's
+        tau_table.csv and fits.json."""
+        cfg = _write(tmp_path, SWEEP_CFG)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()
+        table = (out / "tau_table.csv").read_text().splitlines()
+        assert table[0] == rows[0]
+        assert table[1] == "mu,delta,tau,w_grad_interior"
+        fits = json.loads((out / "fits.json").read_text())
+        for name in ("alpha", "envelope"):
+            assert fits[name] is not None and fits[f"{name}_reason"] is None
 
     def test_failed_run_rows(self, tmp_path, monkeypatch):
         """A run that aborted writes nan values and the status failed."""
         real = cli.run_sweep
+        failure = {"t": 0.0, "reason": "test", "field": "u", "index": 0}
 
         def one_failure(plan):
             result = real(plan)
             for column in (result.errors, result.deltas, result.saturated):
                 column[1] = None
-            result.failures[1] = {"t": 0.0, "reason": "test", "field": "u",
-                                  "index": 0}
+            result.failures[1] = failure
             return result
 
         monkeypatch.setattr(cli, "run_sweep", one_failure)
@@ -244,20 +283,20 @@ class TestSweepCommand:
         rows = (out / "sweep.csv").read_text().splitlines()
         assert rows[3] == "0.001,nan,nan,nan,nan,failed"
         assert rows[2].endswith(",ok")
-        assert main(["bl", "--config", cfg, "--out", str(out)]) == 1
-        rows = (out / "thickness.csv").read_text().splitlines()
-        assert rows[3] == "0.001,nan,failed"
+        fits = json.loads((out / "fits.json").read_text())
+        assert fits["failures"] == [None, failure, None]
 
-    @pytest.mark.parametrize("command, name", [("sweep", "fits.json"),
-                                               ("bl", "bl_fits.json")])
+    # the bl case went with the bl command; its report is in fits.json
+    @pytest.mark.parametrize("command, name", [("sweep", "fits.json")])
     def test_reference_abort_reported(self, tmp_path, command, name):
-        """A mu = 0 reference run that aborts is written to the fits file,
-        as `run` writes it to summary.json, not ended by a traceback."""
+        """A mu = 0 reference run that aborts is written to fits.json, as
+        `run` writes it to summary.json, not ended by a traceback."""
         text = SWEEP_CFG.replace("t_end = 0.02",
                                  "t_end = 1\ndt_min = 0.5\ndt_max = 0.5")
         out = tmp_path / "out"
         assert main([command, "--config", _write(tmp_path, text),
                      "--out", str(out)]) == 1
+        assert [p.name for p in out.iterdir()] == [name]
         fits = json.loads((out / name).read_text())
         assert fits == {"config_hash": config_hash(parse_config(text)),
                         "status": "aborted",
@@ -267,8 +306,8 @@ class TestSweepCommand:
 
     def test_members_without_layer(self, tmp_path):
         """Members that never leave the reference by more than bl_tol
-        read delta* = 0 and the status no-layer, and bl fits no alpha to
-        them."""
+        read delta* = 0 and the status no-layer, and no rate or alpha is
+        fitted to them: the reasons count them."""
         text = "\n".join(["[grid]", "n_cells = 16", "[time]", "t_end = 0.05",
                           "[initial]", "preset = transverse-rest"]) + "\n"
         cfg = _write(tmp_path, text)
@@ -277,22 +316,11 @@ class TestSweepCommand:
         rows = (out / "sweep.csv").read_text().splitlines()[2:]
         assert len(rows) == 4
         assert all(r.endswith(",0,0,0,0,no-layer") for r in rows)
-        assert json.loads((out / "fits.json").read_text())["thickness"] \
-            is None
-        assert main(["bl", "--config", cfg, "--out", str(out)]) == 1
-        rows = (out / "thickness.csv").read_text().splitlines()[2:]
-        assert [r.split(",", 1)[1] for r in rows] == ["0,no-layer"] * 4
-        fits = json.loads((out / "bl_fits.json").read_text())
-        assert "alpha" not in fits
-        assert fits["error"].startswith("need at least 3 non-saturated")
-
-    def test_bl_outputs(self, tmp_path):
-        cfg = _write(tmp_path, SWEEP_CFG)
-        out = tmp_path / "out"
-        main(["bl", "--config", cfg, "--out", str(out)])
-        assert (out / "thickness.csv").exists()
-        fits = json.loads((out / "bl_fits.json").read_text())
-        assert "alpha" in fits or "error" in fits
+        fits = json.loads((out / "fits.json").read_text())
+        for name in ("rate", "alpha"):
+            assert fits[name] is None
+            assert fits[f"{name}_reason"].endswith(
+                "kept 0, left out 4 no-layer")
 
 
 class TestVerifyCommand:

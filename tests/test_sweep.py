@@ -15,7 +15,7 @@ from planemhd.solver import TimeConfig, run, run_lockstep
 from planemhd.sweep import (BL_DELTA_CEILING, BLThickness, SweepPlan,
                             SweepResult, _envelope, _summarize,
                             _upper_hull, bl_thickness, fit_power_law,
-                            run_sweep, thickness_scaling_report)
+                            report, run_sweep, thickness_scaling_report)
 
 
 class TestFitPowerLaw:
@@ -313,13 +313,33 @@ class TestThicknessScalingReport:
                 bound = report.envelope_c1 * row.tau + report.envelope_c2
                 assert row.w_grad_interior <= bound + 1e-12
 
-    def test_raises_without_thickness_fit(self):
-        """run_sweep leaves thickness_fit None when fewer than 3 delta*
-        are unsaturated; the report has no alpha to give then."""
-        interior = {0.1: [0.9, 0.4, 0.15, 0.08]}
-        result = replace(_synthetic_result(interior), thickness_fit=None)
-        with pytest.raises(ValueError, match="at least 3 non-saturated"):
-            thickness_scaling_report(result)
+    def test_envelope_without_thickness_fit(self):
+        """With fewer than 3 ok members run_sweep fits no alpha, and the
+        envelope, which does not use it, is still made and reported."""
+        interior = {0.1: [0.9, None, 0.15, 0.08]}
+        synthetic = _synthetic_result(interior)
+        result = replace(synthetic, thickness_fit=None,
+                         errors=[e if m != 1 else None
+                                 for m, e in enumerate(synthetic.errors)],
+                         deltas=[0.25, None, 0.01, 0.0],
+                         saturated=[True, None, False, False])
+        thick = thickness_scaling_report(result)
+        assert thick.alpha_fit is None
+        assert thick.envelope_rel_residual >= 0
+        rep = report(result)
+        assert rep["members"]["status"] == ["saturated", "failed", "ok",
+                                            "no-layer"]
+        assert rep["members"]["combined_error"][1] is None
+        assert rep["alpha"] is None
+        assert rep["alpha_reason"] == ("the alpha fit needs 3 ok members; "
+                                       "kept 1, left out 1 saturated, "
+                                       "1 no-layer, 1 failed")
+        assert rep["envelope"] == {"c1": thick.envelope_c1,
+                                   "c2": thick.envelope_c2,
+                                   "rel_residual": thick.envelope_rel_residual}
+        assert rep["envelope_reason"] is None
+        assert rep["tau_table"]["w_grad_interior"] == [0.9, 0.15, 0.08]
+        assert rep["excluded_saturated"] == [1e-2]
 
     @pytest.mark.parametrize("interior", [
         {0.125: [1.0, 0.5, None, None]},
@@ -327,12 +347,17 @@ class TestThicknessScalingReport:
         ids=["one-row", "shared-tau"])
     def test_raises_without_two_distinct_tau(self, interior):
         """The envelope needs two distinct tau <= 1: one such row, or
-        two rows at one tau, give none."""
+        two rows at one tau, give none, and the report says why."""
         # sqrt(mu) = 1/4, 1/8, 1/16, 1/32, so each tau is exact
         mu = (2.0 ** -4, 2.0 ** -6, 2.0 ** -8, 2.0 ** -10)
         result = replace(_synthetic_result(interior), mu_values=mu)
         with pytest.raises(ValueError, match="2 distinct tau <= 1"):
             thickness_scaling_report(result)
+        rep = report(result)
+        assert rep["envelope"] is None and rep["tau_table"] is None
+        assert rep["envelope_reason"].startswith(
+            "need at least 2 distinct tau <= 1")
+        assert rep["alpha"] is not None
 
 
 class TestRunSweep:
