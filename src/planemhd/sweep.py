@@ -133,19 +133,62 @@ class RunSummary:
     max_w_grad_l2: float
 
 
+STATUSES = ("ok", "saturated", "no-layer", "failed")
+
+
 @dataclass
 class SweepResult:
+    """A sweep's member columns, each aligned with mu_values, and the
+    mu = 0 reference. A member's status is ok; saturated, when no
+    interior up to delta = 1/4 excludes the deviations above bl_tol;
+    no-layer, when none exceeds bl_tol (delta* = 0); or failed, when its
+    run aborted (its entry in failures is the abort report, and its
+    other entries are None). The rate and alpha fits are derived from
+    the columns (fit), not stored beside them."""
+
     mu_values: Tuple[float, ...]
     errors: List[Optional[ErrorNorms]]
     deltas: List[Optional[float]]
-    saturated: List[Optional[bool]]
-    scaled_w_grad: List[Optional[float]]   # sqrt(mu) * max_t ||w_x||^2
+    status: List[str]
     summaries: List[Optional[RunSummary]]
     interior_w_grads: dict                 # delta -> list aligned with mu
     failures: List[Optional[dict]]
-    rate_fit: Optional[PowerLawFit]
-    thickness_fit: Optional[PowerLawFit]
     reference: Trajectory
+
+    def fit(self, name: str) -> Tuple[Optional[PowerLawFit], Optional[str]]:
+        """The fit "rate", error ~ mu**p over the members with a nonzero
+        error, or "alpha", delta* ~ mu**alpha over the ok members, and
+        None; or None and why it cannot be made (see _left_out)."""
+        if name == "rate":
+            need = "the rate fit needs 3 members with a nonzero error"
+            ys = [0.0 if e is None else e.combined for e in self.errors]
+            kept = [y > 0 for y in ys]
+        elif name == "alpha":
+            need = "the alpha fit needs 3 ok members"
+            ys = self.deltas
+            kept = [s == "ok" for s in self.status]
+        else:
+            raise ValueError(f"unknown fit {name!r}")
+        points = [(mu, y) for mu, y, k in zip(self.mu_values, ys, kept) if k]
+        if len(points) < 3:
+            return None, _left_out(need, kept, self.status)
+        return fit_power_law(points), None
+
+    @property
+    def rate_fit(self) -> Optional[PowerLawFit]:
+        return self.fit("rate")[0]
+
+    @property
+    def thickness_fit(self) -> Optional[PowerLawFit]:
+        return self.fit("alpha")[0]
+
+
+def _left_out(need: str, kept: Sequence[bool], status: Sequence[str]) -> str:
+    """Why a fit cannot be made: what it needs, how many members it kept,
+    and the members it left out, counted by status."""
+    left = Counter(s for s, k in zip(status, kept) if not k)
+    causes = ", ".join(f"{left[s]} {s}" for s in STATUSES if left[s])
+    return f"{need}; kept {sum(kept)}, left out {causes or 'none'}"
 
 
 def _summarize(diagnostics: np.ndarray, max_abs_w: float) -> RunSummary:
@@ -213,9 +256,10 @@ class _Comparison:
 
 
 def run_sweep(plan: SweepPlan) -> SweepResult:
-    """Run the mu = 0 reference and every mu value in lockstep, and
-    compare each mu run with the reference as the batch steps. Only the
-    reference's snapshots are kept."""
+    """Run the mu = 0 reference and every mu value in lockstep, compare
+    each mu run with the reference as the batch steps, and give each
+    member its columns and its status. Only the reference's snapshots
+    are kept; the fits are made from the columns (SweepResult.fit)."""
     compare = _Comparison(plan)
     reference, *runs = run_lockstep(plan.initial, plan.grid, plan.params,
                                     plan.bdry, plan.time,
@@ -223,63 +267,36 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
                                     on_snapshot=compare, store=(0,))
     if isinstance(reference, RunAborted):
         raise reference
-    errors: List[Optional[ErrorNorms]] = []
-    deltas: List[Optional[float]] = []
-    saturated: List[Optional[bool]] = []
-    scaled: List[Optional[float]] = []
-    summaries: List[Optional[RunSummary]] = []
-    failures: List[Optional[dict]] = []
-    interior: dict = {d: [] for d in plan.interior_deltas}
-    for m, (mu, diags) in enumerate(zip(plan.mu_values, runs), start=1):
-        if isinstance(diags, RunAborted):
-            errors.append(None)
-            deltas.append(None)
-            saturated.append(None)
-            scaled.append(None)
-            summaries.append(None)
-            failures.append(diags.report)
-            for d in plan.interior_deltas:
-                interior[d].append(None)
-            continue
-        bl = compare.thickness(m, plan.bl_tol)
-        summary = _summarize(diags, float(compare.max_abs_w[m]))
-        errors.append(compare.errors(m, reference.snapshot_times))
-        deltas.append(bl.delta)
-        saturated.append(bl.saturated)
-        scaled.append(float(np.sqrt(mu)) * summary.max_w_grad_l2)
-        summaries.append(summary)
-        failures.append(None)
-        for d, w_sq in zip(plan.interior_deltas, compare.w_sq[m]):
-            interior[d].append(float(w_sq))
-    rate_points = [(mu, e.combined)
-                   for mu, e in zip(plan.mu_values, errors)
-                   if e is not None and e.combined > 0]
-    thick_points = [(mu, d)
-                    for mu, d, sat in zip(plan.mu_values, deltas, saturated)
-                    if d and not sat]       # None: failed, 0: no layer
-    rate_fit = fit_power_law(rate_points) if len(rate_points) >= 3 else None
-    thickness_fit = (fit_power_law(thick_points)
-                     if len(thick_points) >= 3 else None)
+    rows = []
+    for m, diags in enumerate(runs, start=1):
+        bl = (None if isinstance(diags, RunAborted)
+              else compare.thickness(m, plan.bl_tol))
+        member_status = ("failed" if bl is None else "saturated"
+                         if bl.saturated else "ok" if bl.delta
+                         else "no-layer")
+        if bl is None:
+            rows.append((None, None, member_status, None, diags.report,
+                         [None] * len(plan.interior_deltas)))
+        else:
+            rows.append((compare.errors(m, reference.snapshot_times),
+                         bl.delta, member_status,
+                         _summarize(diags, float(compare.max_abs_w[m])),
+                         None, compare.w_sq[m].tolist()))
+    errors, deltas, status, summaries, failures, w_sq = map(list, zip(*rows))
     return SweepResult(mu_values=tuple(plan.mu_values), errors=errors,
-                       deltas=deltas, saturated=saturated,
-                       scaled_w_grad=scaled, summaries=summaries,
-                       interior_w_grads=interior, failures=failures,
-                       rate_fit=rate_fit, thickness_fit=thickness_fit,
-                       reference=reference)
+                       deltas=deltas, status=status, summaries=summaries,
+                       interior_w_grads=dict(zip(plan.interior_deltas,
+                                                 map(list, zip(*w_sq)))),
+                       failures=failures, reference=reference)
 
 
-@dataclass(frozen=True)
-class TauTableRow:
-    mu: float
-    delta: float
-    tau: float
-    w_grad_interior: float
+TAU_COLUMNS = ("mu", "delta", "tau", "w_grad_interior")
 
 
 @dataclass(frozen=True)
 class ThicknessReport:
     alpha_fit: Optional[PowerLawFit]
-    tau_table: Tuple[TauTableRow, ...]
+    tau_table: dict                 # TAU_COLUMNS name -> column
     envelope_c1: float
     envelope_c2: float
     envelope_rel_residual: float
@@ -317,12 +334,13 @@ def _envelope(tau: np.ndarray, g: np.ndarray) -> Tuple[float, float, float]:
 
 
 def thickness_scaling_report(result: SweepResult) -> ThicknessReport:
-    """Report run_sweep's fit delta*(mu) ~ mu**alpha (thickness_fit,
+    """Report run_sweep's fit delta*(mu) ~ mu**alpha (result.fit("alpha"),
     None when fewer than 3 members are ok) and tabulate the interior
-    transverse gradient norm against tau = sqrt(mu)/delta with an affine
-    envelope fitted over the points with tau <= 1. The envelope does not
-    use the alpha fit; it raises ValueError when there are fewer than 2
-    distinct tau <= 1.
+    transverse gradient norm against tau = sqrt(mu)/delta, as the
+    columns TAU_COLUMNS, with an affine envelope fitted over the points
+    with tau <= 1. The envelope does not use the alpha fit; it raises
+    ValueError when there are fewer than 2 distinct tau <= 1, or when
+    every binding norm is 0 and there is no layer to bound.
 
     The envelope is the affine function that dominates every tabulated
     point while minimizing the mean slack (the least upper affine bound
@@ -330,60 +348,40 @@ def thickness_scaling_report(result: SweepResult) -> ThicknessReport:
     over the mean tau (see _envelope). The residual is the achieved
     mean slack relative to the largest tabulated norm, so it is small
     exactly when the binding points hug an affine profile."""
-    rows = []
-    for delta, vals in sorted(result.interior_w_grads.items()):
-        for mu, g in zip(result.mu_values, vals):
-            if g is None:
-                continue
-            rows.append(TauTableRow(mu=mu, delta=delta,
-                                    tau=float(np.sqrt(mu) / delta),
-                                    w_grad_interior=g))
+    rows = [(mu, delta, float(np.sqrt(mu) / delta), g)
+            for delta, vals in sorted(result.interior_w_grads.items())
+            for mu, g in zip(result.mu_values, vals) if g is not None]
     binding: dict = {}
-    for r in rows:          # one point per tau <= 1: the binding one
-        if r.tau <= 1.0:
-            binding[r.tau] = max(binding.get(r.tau, -np.inf),
-                                 r.w_grad_interior)
+    for _, _, tau, g in rows:   # one point per tau <= 1: the binding one
+        if tau <= 1.0:
+            binding[tau] = max(binding.get(tau, -np.inf), g)
     if len(binding) < 2:
         raise ValueError("need at least 2 distinct tau <= 1 for the "
                          "envelope fit")
     tau = np.array(sorted(binding))
     g = np.array([binding[t] for t in tau])
+    if not g.max() > 0:
+        raise ValueError("need a nonzero interior w_x norm at tau <= 1 "
+                         "for the envelope fit")
     c1, c2, mean_slack = _envelope(tau, g)
-    rel = float(mean_slack / max(g.max(), 1e-300))
-    return ThicknessReport(alpha_fit=result.thickness_fit,
-                           tau_table=tuple(rows),
+    return ThicknessReport(alpha_fit=result.fit("alpha")[0],
+                           tau_table=dict(zip(TAU_COLUMNS,
+                                              map(list, zip(*rows)))),
                            envelope_c1=c1, envelope_c2=c2,
-                           envelope_rel_residual=rel)
-
-
-STATUSES = ("ok", "saturated", "no-layer", "failed")
-
-
-def _left_out(need: str, kept: Sequence[bool], status: Sequence[str]) -> str:
-    """Why a fit cannot be made: what it needs, how many members it kept,
-    and the members it left out, counted by status."""
-    left = Counter(s for s, k in zip(status, kept) if not k)
-    causes = ", ".join(f"{left[s]} {s}" for s in STATUSES if left[s])
-    return f"{need}; kept {sum(kept)}, left out {causes or 'none'}"
+                           envelope_rel_residual=float(mean_slack / g.max()))
 
 
 def report(result: SweepResult) -> dict:
     """Every number of a sweep, in plain values, for fits.json and the
-    CSV tables.
+    CSV tables. It reads the member columns and the fits of result and
+    adds the envelope and sqrt(mu) * max_t ||w_x||^2 per member.
 
     "members" holds, per mu value in order, the errors, delta* and the
-    status: ok; saturated, when no interior up to delta = 1/4 excludes
-    the deviations above bl_tol; no-layer, when none exceeds bl_tol
-    (delta* = 0); failed, when the run aborted (its values are None).
-    "rate" is the fit error ~ mu**p over the members with a nonzero
-    error, "alpha" the fit delta* ~ mu**alpha over the ok members, and
-    "envelope" the tau table's affine envelope, with the table, as
+    status (see SweepResult). "rate" and "alpha" are result.fit's fits,
+    and "envelope" the tau table's affine envelope, with the table, as
     columns, in "tau_table". A fit that cannot be made is None, and
     "<fit>_reason" beside it says why (see _left_out); the tau table is
     None with the envelope."""
-    status = ["no-layer" if d == 0 else
-              {None: "failed", True: "saturated", False: "ok"}[s]
-              for s, d in zip(result.saturated, result.deltas)]
 
     def errors(name):
         return [None if e is None else getattr(e, name)
@@ -395,34 +393,27 @@ def report(result: SweepResult) -> dict:
             "combined_error": errors("combined"),
             "state_error": errors("state_error"),
             "gradient_error": errors("gradient_error"),
-            "delta_star": list(result.deltas), "status": status},
-        "rate": None, "rate_reason": None,
-        "alpha": None, "alpha_reason": None,
+            "delta_star": list(result.deltas),
+            "status": list(result.status)},
         "envelope": None, "envelope_reason": None, "tau_table": None,
-        "excluded_saturated": [mu for mu, s in zip(result.mu_values, status)
+        "excluded_saturated": [mu for mu, s in zip(result.mu_values,
+                                                   result.status)
                                if s == "saturated"],
-        "scaled_w_grad": result.scaled_w_grad,
+        "scaled_w_grad": [None if s is None else
+                          float(np.sqrt(mu)) * s.max_w_grad_l2
+                          for mu, s in zip(result.mu_values,
+                                           result.summaries)],
         "failures": result.failures}
-    if result.rate_fit is None:
-        out["rate_reason"] = _left_out(
-            "the rate fit needs 3 members with a nonzero error",
-            [e is not None and e.combined > 0 for e in result.errors], status)
-    else:
-        out["rate"] = asdict(result.rate_fit)
-    if result.thickness_fit is None:
-        out["alpha_reason"] = _left_out("the alpha fit needs 3 ok members",
-                                        [s == "ok" for s in status], status)
-    else:
-        out["alpha"] = asdict(result.thickness_fit)
+    for name in ("rate", "alpha"):
+        fit, out[f"{name}_reason"] = result.fit(name)
+        out[name] = None if fit is None else asdict(fit)
     try:
         thick = thickness_scaling_report(result)
-    except ValueError as exc:       # fewer than 2 distinct tau <= 1
+    except ValueError as exc:       # no envelope to fit
         out["envelope_reason"] = _left_out(
-            str(exc), [s != "failed" for s in status], status)
+            str(exc), [s != "failed" for s in result.status], result.status)
     else:
         out["envelope"] = {"c1": thick.envelope_c1, "c2": thick.envelope_c2,
                            "rel_residual": thick.envelope_rel_residual}
-        out["tau_table"] = {
-            name: [getattr(r, name) for r in thick.tau_table]
-            for name in ("mu", "delta", "tau", "w_grad_interior")}
+        out["tau_table"] = thick.tau_table
     return out

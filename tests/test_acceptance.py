@@ -3,16 +3,21 @@ single pass/fail line with the measured value and its threshold.
 
 The mu-sweep criteria (8 through 11) share one module-scoped sweep so
 the expensive runs happen once, and read its numbers from sweep.report,
-which `planemhd sweep` writes.
+which `planemhd sweep` writes. The last test runs the accept-sweep
+benchmark's full-size check on the same sweep.
 """
 
+import importlib.util
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import conftest
 
+from planemhd import cli, config, core, sweep as sweep_module
 from planemhd.core import (BoundaryData, GridSpec, PhysParams,
                            make_initial_state)
 from planemhd.diagnostics import (energy_balance_residual,
@@ -236,3 +241,38 @@ def test_criterion_11_tau_table_envelope(sweep):
     _report(11, "tau-table affine envelope", ok,
             f"c1 {c1:.3f}, c2 {c2:.3f}, envelope residual {rel:.3f} <= 0.2,"
             f" dominates={dominated}")
+
+
+# ------------------------------------------------------ benchmark check
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name, monkeypatch):
+    """Import perfbench/<name>.py as the module `name` for this test."""
+    spec = importlib.util.spec_from_file_location(name,
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_check_reads_the_sweep(sweep, monkeypatch, tmp_path):
+    """The accept-sweep benchmark's full-size check reads p, alpha, the
+    envelope residual and delta* off the sweep result as the benchmark
+    run does (the --tiny smoke run skips it), and finds the acceptance
+    values on the shared sweep."""
+    result, _ = sweep
+    _load("spans", monkeypatch)             # workloads imports it
+    workloads = _load("workloads", monkeypatch)
+    program = {"cli": cli, "config": config, "core": core,
+               "sweep": sweep_module}
+    assert set(program) == set(workloads.MODULES)
+    bench = workloads.AcceptSweep(program, seed=1, tiny=False,
+                                  workdir=tmp_path)
+    assert bench.plan.mu_values == result.mu_values
+    assert bench.plan.grid.n_cells == result.reference.rho.shape[1]
+    _, _, problems = bench.check(
+        (result, sweep_module.thickness_scaling_report(result)))
+    assert problems == []

@@ -271,8 +271,8 @@ class TestSweepCommand:
 
         def one_failure(plan):
             result = real(plan)
-            for column in (result.errors, result.deltas, result.saturated):
-                column[1] = None
+            result.errors[1] = result.deltas[1] = None
+            result.status[1] = "failed"
             result.failures[1] = failure
             return result
 
@@ -306,8 +306,9 @@ class TestSweepCommand:
 
     def test_members_without_layer(self, tmp_path):
         """Members that never leave the reference by more than bl_tol
-        read delta* = 0 and the status no-layer, and no rate or alpha is
-        fitted to them: the reasons count them."""
+        read delta* = 0 and the status no-layer, and no rate, alpha or
+        envelope is fitted to them: the reasons count them, and there is
+        no tau table."""
         text = "\n".join(["[grid]", "n_cells = 16", "[time]", "t_end = 0.05",
                           "[initial]", "preset = transverse-rest"]) + "\n"
         cfg = _write(tmp_path, text)
@@ -321,6 +322,12 @@ class TestSweepCommand:
             assert fits[name] is None
             assert fits[f"{name}_reason"].endswith(
                 "kept 0, left out 4 no-layer")
+        assert fits["envelope"] is None
+        assert fits["envelope_reason"] == (
+            "need a nonzero interior w_x norm at tau <= 1 for the envelope "
+            "fit; kept 4, left out none")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fits.json", "sweep.csv"]
 
 
 class TestVerifyCommand:

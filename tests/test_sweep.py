@@ -1,6 +1,6 @@
 import pickle
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -276,11 +276,18 @@ def _synthetic_result(interior):
     grid = GridSpec(16)
     ref = Trajectory((make_initial_state(grid, "uniform"),), (None,))
     return SweepResult(mu_values=mu, errors=errors, deltas=deltas,
-                       saturated=[False] * 4, scaled_w_grad=[1.0] * 4,
-                       summaries=[None] * 4, interior_w_grads=interior,
-                       failures=[None] * 4, rate_fit=None,
-                       thickness_fit=fit_power_law(list(zip(mu, deltas))),
+                       status=["ok"] * 4, summaries=[None] * 4,
+                       interior_w_grads=interior, failures=[None] * 4,
                        reference=ref)
+
+
+def _dominated(report):
+    """The (tau, norm) points of report's tau table with tau <= 1 lie
+    on or below its envelope."""
+    table = report.tau_table
+    return all(g <= report.envelope_c1 * tau + report.envelope_c2 + 1e-12
+               for tau, g in zip(table["tau"], table["w_grad_interior"])
+               if tau <= 1.0)
 
 
 class TestThicknessScalingReport:
@@ -294,10 +301,7 @@ class TestThicknessScalingReport:
         assert report.envelope_c1 == pytest.approx(2.0, rel=1e-6)
         assert report.envelope_rel_residual < 1e-9
         # envelope dominates every tabulated point
-        for row in report.tau_table:
-            if row.tau <= 1.0:
-                bound = report.envelope_c1 * row.tau + report.envelope_c2
-                assert row.w_grad_interior <= bound + 1e-12
+        assert _dominated(report)
 
     def test_tau_table_filters_large_tau(self):
         interior = {0.05: [1.0, 0.5, 0.2, 0.1],
@@ -306,23 +310,19 @@ class TestThicknessScalingReport:
         report = thickness_scaling_report(_synthetic_result(interior))
         # mu = 1e-2 with delta = 0.05 has tau = 2 and must appear in the
         # table while only the tau <= 1 rows constrain the envelope
-        taus = [r.tau for r in report.tau_table]
-        assert max(taus) == pytest.approx(2.0)
-        for row in report.tau_table:
-            if row.tau <= 1.0:
-                bound = report.envelope_c1 * row.tau + report.envelope_c2
-                assert row.w_grad_interior <= bound + 1e-12
+        assert max(report.tau_table["tau"]) == pytest.approx(2.0)
+        assert _dominated(report)
 
     def test_envelope_without_thickness_fit(self):
-        """With fewer than 3 ok members run_sweep fits no alpha, and the
+        """With fewer than 3 ok members no alpha is fitted, and the
         envelope, which does not use it, is still made and reported."""
         interior = {0.1: [0.9, None, 0.15, 0.08]}
         synthetic = _synthetic_result(interior)
-        result = replace(synthetic, thickness_fit=None,
+        result = replace(synthetic,
                          errors=[e if m != 1 else None
                                  for m, e in enumerate(synthetic.errors)],
                          deltas=[0.25, None, 0.01, 0.0],
-                         saturated=[True, None, False, False])
+                         status=["saturated", "failed", "ok", "no-layer"])
         thick = thickness_scaling_report(result)
         assert thick.alpha_fit is None
         assert thick.envelope_rel_residual >= 0
@@ -330,6 +330,12 @@ class TestThicknessScalingReport:
         assert rep["members"]["status"] == ["saturated", "failed", "ok",
                                             "no-layer"]
         assert rep["members"]["combined_error"][1] is None
+        # the saturated and no-layer members have a nonzero error
+        assert rep["rate"] == asdict(fit_power_law(
+            [(mu, e.combined) for mu, e in zip(result.mu_values,
+                                               result.errors)
+             if e is not None]))
+        assert rep["rate_reason"] is None
         assert rep["alpha"] is None
         assert rep["alpha_reason"] == ("the alpha fit needs 3 ok members; "
                                        "kept 1, left out 1 saturated, "
@@ -359,6 +365,53 @@ class TestThicknessScalingReport:
             "need at least 2 distinct tau <= 1")
         assert rep["alpha"] is not None
 
+    def test_raises_without_layer(self):
+        """Interior w_x norms that are all 0 leave no layer to bound:
+        no envelope is fitted, rather than a perfect one of c1 = c2 = 0."""
+        result = _synthetic_result({0.1: [0.0] * 4, 0.2: [0.0] * 4})
+        with pytest.raises(ValueError, match="nonzero interior w_x norm"):
+            thickness_scaling_report(result)
+        rep = report(result)
+        assert rep["envelope"] is None and rep["tau_table"] is None
+        assert rep["envelope_reason"] == (
+            "need a nonzero interior w_x norm at tau <= 1 for the envelope "
+            "fit; kept 4, left out none")
+
+
+class TestSweepResultFit:
+    def test_fits_follow_the_member_columns(self):
+        """Each fit is made from the members its rule keeps, so a
+        result cannot hold a fit that disagrees with its members."""
+        result = _synthetic_result({0.1: [1.0] * 4})
+        mu = result.mu_values
+        assert result.fit("rate") == (fit_power_law(
+            [(m, m ** 0.25) for m in mu]), None)
+        assert result.rate_fit == result.fit("rate")[0]
+        assert result.fit("alpha") == (fit_power_law(
+            list(zip(mu, result.deltas))), None)
+        assert result.thickness_fit == result.fit("alpha")[0]
+        result.status[0] = "saturated"
+        result.errors[1] = ErrorNorms(0.0, 0.0, 0.0)
+        assert result.fit("alpha")[0] == fit_power_law(
+            list(zip(mu[1:], result.deltas[1:])))
+        assert result.fit("rate")[0] == fit_power_law(
+            [(m, m ** 0.25) for i, m in enumerate(mu) if i != 1])
+
+    def test_reasons_count_left_out_members(self):
+        result = _synthetic_result({0.1: [1.0] * 4})
+        result.errors[2] = result.errors[3] = None
+        result.status[2] = result.status[3] = "failed"
+        assert result.fit("rate") == (
+            None, "the rate fit needs 3 members with a nonzero error; "
+            "kept 2, left out 2 failed")
+        assert result.fit("alpha") == (
+            None, "the alpha fit needs 3 ok members; kept 2, "
+            "left out 2 failed")
+
+    def test_rejects_unknown_fit(self):
+        with pytest.raises(ValueError, match="unknown fit"):
+            _synthetic_result({0.1: [1.0] * 4}).fit("thickness")
+
 
 class TestRunSweep:
     def test_small_sweep_structure(self):
@@ -386,7 +439,7 @@ class TestRunSweep:
             initial=make_initial_state(grid, "transverse-rest"))
         result = run_sweep(plan)
         assert result.deltas == [0.0] * 3
-        assert result.saturated == [False] * 3
+        assert result.status == ["no-layer"] * 3
         assert result.thickness_fit is None
 
     def test_cfl_bound_sweep_completes(self):
@@ -445,11 +498,11 @@ class TestSweepComparison:
             (0.0,) + plan.mu_values)
         steps = np.diff(reference.diagnostics["t"])
         assert (steps.max() < dt_max) == (dt_max == 1e-2)
-        assert not all(result.saturated)
+        assert not all(s == "saturated" for s in result.status)
         for i, traj in enumerate(members):
             assert result.errors[i] == error_norms(traj, reference, grid)
             bl = bl_thickness(traj, reference, plan.bl_tol, grid)
-            assert (result.deltas[i], result.saturated[i]) == bl
+            assert (result.deltas[i], result.status[i] == "saturated") == bl
             for d in plan.interior_deltas:
                 assert (result.interior_w_grads[d][i]
                         == interior_w_grad(traj, d, grid))
