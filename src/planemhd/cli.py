@@ -194,8 +194,7 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
                        interpolate_to_nodes(state.theta[0])])
 
             (diag,) = run_lockstep(initial, grid, params, bdry, tcfg,
-                                   (params.mu,), on_snapshot=on_snapshot,
-                                   store=())
+                                   (params.mu,), on_snapshot=on_snapshot)
             if isinstance(diag, RunAborted):
                 raise diag
     except RunAborted as exc:

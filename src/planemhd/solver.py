@@ -560,9 +560,8 @@ def run_lockstep(initial: FlowState, grid: GridSpec, params: PhysParams,
                  mu_values: Sequence[float],
                  forcing: Optional[ForcingSpec] = None,
                  on_snapshot: Optional[Callable[[FlowState, tuple],
-                                                None]] = None,
-                 store: Optional[Sequence[int]] = None
-                 ) -> List[Union[Trajectory, np.ndarray, RunAborted]]:
+                                                None]] = None
+                 ) -> List[Union[np.ndarray, RunAborted]]:
     """Integrate one member per mu value from initial, one state of grid
     at t = 0, all on one time grid, to t_end.
 
@@ -575,13 +574,13 @@ def run_lockstep(initial: FlowState, grid: GridSpec, params: PhysParams,
     accepted steps plus the final state; the diagnostics table has one
     row for the initial state and one for every accepted step.
 
-    on_snapshot(state, members), if given, is called with the batch
-    state at t = 0 and at every snapshot; members names the member in
-    each row of state. store lists the members whose snapshots are kept
-    (all by default).
+    No snapshot is kept. on_snapshot(state, members), if given, is
+    called with the batch state at t = 0 and at every snapshot; members
+    names the member in each row of state. A caller that wants a
+    member's snapshots copies them out of its row there, as run does.
 
-    Returns per member its Trajectory, its diagnostics table if its
-    snapshots are not kept, or the RunAborted that ended it.
+    Returns per member its diagnostics table, or the RunAborted that
+    ended it.
     """
     mu = np.array(mu_values, dtype=float)
     if mu.ndim != 1 or not np.all((mu >= 0) & (mu < np.inf)):  # NaN fails too
@@ -593,28 +592,14 @@ def run_lockstep(initial: FlowState, grid: GridSpec, params: PhysParams,
                          f"cells, not rho of shape {initial.rho.shape}")
     t_end = cfg.t_end
     members = list(range(len(mu)))      # the member in each batch row
-    stored = set(members if store is None else store)
     state = FlowState(t=initial.t, **{
         name: np.broadcast_to(getattr(initial, name),
                               (len(mu),) + getattr(initial, name).shape)
         for name in STATE_FIELDS})
     batch = _with_mu(params, mu)
     outcome: list = [None] * len(mu)
-    times = [state.t]
-
-    def rows_left(dt):
-        """Diagnostics rows and snapshots from state on, this one
-        included, if every step takes dt."""
-        steps = max(math.ceil((t_end - state.t) / dt), 0)
-        return 1 + steps, 1 + math.ceil(steps / cfg.snapshot_stride)
-
-    # per member: its own snapshot fields and diagnostics, copied out of
-    # the batch rows, so that no member's trajectory holds another's
-    n_diags, n_snaps = rows_left(cfg.dt_max)
-    fields = [{name: _Rows(getattr(state, name)[m], n_snaps)
-               for name in STATE_FIELDS} if m in stored else None
-              for m in members]
-    diags = [_Rows(row, n_diags)
+    # per member its own diagnostics, copied out of the batch rows
+    diags = [_Rows(row, _rows_left(state.t, cfg, cfg.dt_max))
              for row in _diag.record(state, grid, batch)]
     if on_snapshot is not None:
         on_snapshot(state, tuple(members))
@@ -636,7 +621,7 @@ def run_lockstep(initial: FlowState, grid: GridSpec, params: PhysParams,
             outcome[m] = RunAborted({"t": state.t, "reason": exc.reason,
                                      "field": exc.field, "index": exc.index})
             outcome[m].__cause__ = exc
-            fields[m] = diags[m] = None
+            diags[m] = None
             keep = np.arange(len(members) + 1) != exc.member
             state = FlowState(t=state.t, **{
                 name: getattr(state, name)[keep] for name in STATE_FIELDS})
@@ -644,25 +629,24 @@ def run_lockstep(initial: FlowState, grid: GridSpec, params: PhysParams,
             continue
         state = new_state
         k += 1
-        n_diags, n_snaps = rows_left(dt)
+        n_diags = _rows_left(state.t, cfg, dt)
         for m, row in zip(members, _diag.record(state, grid, batch)):
             diags[m].append(row, n_diags)
-        if k % cfg.snapshot_stride == 0 or state.t >= t_end - eps:
-            times.append(state.t)
-            for i, m in enumerate(members):
-                if fields[m] is not None:
-                    for name in STATE_FIELDS:
-                        fields[m][name].append(getattr(state, name)[i],
-                                               n_snaps)
-            if on_snapshot is not None:
-                on_snapshot(state, tuple(members))
+        if (on_snapshot is not None
+                and (k % cfg.snapshot_stride == 0 or state.t >= t_end - eps)):
+            on_snapshot(state, tuple(members))
     for m in members:
-        table = diags[m].array()
-        outcome[m] = table if fields[m] is None else Trajectory.from_arrays(
-            times, {name: rows.array() for name, rows in fields[m].items()},
-            table)
-        fields[m] = diags[m] = None
+        outcome[m] = diags[m].array()
+        diags[m] = None
     return outcome
+
+
+def _rows_left(t: float, cfg: TimeConfig, dt: float, stride: int = 1) -> int:
+    """Rows from time t on, the one at t included, if every step up to
+    t_end takes dt and one row is taken every stride steps (and at
+    t_end): the forecast that sizes a _Rows."""
+    steps = max(math.ceil((cfg.t_end - t) / dt), 0)
+    return 1 + math.ceil(steps / stride)
 
 
 class _Rows:
@@ -700,9 +684,30 @@ def run(initial: FlowState, grid: GridSpec, params: PhysParams,
         bdry: BoundaryData, cfg: TimeConfig,
         forcing: Optional[ForcingSpec] = None) -> Trajectory:
     """Integrate to t_end with CFL-controlled steps and dt-halving retry:
-    the one-member case of run_lockstep, which raises its RunAborted."""
+    the one-member case of run_lockstep, which raises its RunAborted.
+
+    The snapshots are copied out of the batch row through on_snapshot,
+    one _Rows per field, sized for steps of dt_max and regrown by the
+    mean step since the last snapshot."""
+    stride = cfg.snapshot_stride
+    times: List[float] = []
+    fields = {}
+
+    def keep(state: FlowState, members: tuple):
+        if not times:
+            size = _rows_left(state.t, cfg, cfg.dt_max, stride)
+            fields.update({name: _Rows(getattr(state, name)[0], size)
+                           for name in STATE_FIELDS})
+        else:
+            left = _rows_left(state.t, cfg, (state.t - times[-1]) / stride,
+                              stride)
+            for name, rows in fields.items():
+                rows.append(getattr(state, name)[0], left)
+        times.append(state.t)
+
     (out,) = run_lockstep(initial, grid, params, bdry, cfg, (params.mu,),
-                          forcing)
+                          forcing, on_snapshot=keep)
     if isinstance(out, RunAborted):
         raise out
-    return out
+    return Trajectory.from_arrays(
+        times, {name: rows.array() for name, rows in fields.items()}, out)

@@ -136,15 +136,28 @@ class RunSummary:
 STATUSES = ("ok", "saturated", "no-layer", "failed")
 
 
+@dataclass(frozen=True)
+class ReferenceRun:
+    """What a sweep keeps of its mu = 0 reference: the snapshot times it
+    shares with every member, its diagnostics table (one row for t = 0
+    and one per accepted step), and its RunSummary, made as the
+    members' are. Its snapshots are not kept."""
+
+    snapshot_times: np.ndarray
+    diagnostics: np.ndarray
+    summary: RunSummary
+
+
 @dataclass
 class SweepResult:
-    """A sweep's member columns, each aligned with mu_values, and the
-    mu = 0 reference. A member's status is ok; saturated, when no
-    interior up to delta = 1/4 excludes the deviations above bl_tol;
-    no-layer, when none exceeds bl_tol (delta* = 0); or failed, when its
-    run aborted (its entry in failures is the abort report, and its
-    other entries are None). The rate and alpha fits are derived from
-    the columns (fit), not stored beside them."""
+    """A sweep's member columns, each aligned with mu_values, and what
+    it keeps of the mu = 0 reference (a ReferenceRun, no snapshots). A
+    member's status is ok; saturated, when no interior up to
+    delta = 1/4 excludes the deviations above bl_tol; no-layer, when
+    none exceeds bl_tol (delta* = 0); or failed, when its run aborted
+    (its entry in failures is the abort report, and its other entries
+    are None). The rate and alpha fits are derived from the columns
+    (fit), not stored beside them."""
 
     mu_values: Tuple[float, ...]
     errors: List[Optional[ErrorNorms]]
@@ -153,7 +166,7 @@ class SweepResult:
     summaries: List[Optional[RunSummary]]
     interior_w_grads: dict                 # delta -> list aligned with mu
     failures: List[Optional[dict]]
-    reference: Trajectory
+    reference: ReferenceRun
 
     def fit(self, name: str) -> Tuple[Optional[PowerLawFit], Optional[str]]:
         """The fit "rate", error ~ mu**p over the members with a nonzero
@@ -204,12 +217,13 @@ def _summarize(diagnostics: np.ndarray, max_abs_w: float) -> RunSummary:
 
 class _Comparison:
     """Compares each member of a lockstep sweep with the mu = 0
-    reference, batch row 0, one snapshot at a time, so that no member's
-    snapshots are kept.
+    reference, batch row 0, one snapshot at a time, so that no snapshot
+    is kept.
 
-    Per member it holds the per-snapshot sq_errors, the running max of
-    the deviation (the deviation_profile), the running max of the
-    interior w_x norm per delta and of |w|. These are the quantities
+    It holds the snapshot times and, per row, the running max of |w|.
+    Per member it also holds the per-snapshot sq_errors, the running
+    max of the deviation (the deviation_profile) and the running max of
+    the interior w_x norm per delta. These are the quantities
     error_norms, bl_thickness, interior_w_grad and max |w| take from
     whole trajectories, reduced the same way, so the results are the
     same to the bit. An aborted member's entries are never read.
@@ -225,10 +239,15 @@ class _Comparison:
         self.node = np.zeros((n, grid.n_cells + 1))
         self.w_sq = np.zeros((n, len(self.deltas)))
         self.max_abs_w = np.zeros(n)
+        self.times: List[float] = []
 
     def __call__(self, state: FlowState, members: Sequence[int]):
         if members[0] != 0:             # the reference aborted
             return
+        self.times.append(state.t)
+        alive = list(members)
+        self.max_abs_w[alive] = np.maximum(self.max_abs_w[alive],
+                                           np.abs(state.w).max(axis=(-2, -1)))
         ref = SimpleNamespace(**{name: getattr(state, name)[0]
                                  for name in STATE_FIELDS})
         runs = SimpleNamespace(**{name: getattr(state, name)[1:]
@@ -244,12 +263,14 @@ class _Comparison:
         w_sq = np.stack([interior_w_sq(runs.w, d, self.grid)
                          for d in self.deltas], axis=-1)
         self.w_sq[rows] = np.maximum(self.w_sq[rows], w_sq)
-        self.max_abs_w[rows] = np.maximum(self.max_abs_w[rows],
-                                          np.abs(runs.w).max(axis=(-2, -1)))
 
-    def errors(self, m: int, times: np.ndarray) -> ErrorNorms:
+    def errors(self, m: int) -> ErrorNorms:
         return norms_over_time(np.array(self.state_sq[m]),
-                               np.array(self.grad_sq[m]), times)
+                               np.array(self.grad_sq[m]),
+                               np.array(self.times))
+
+    def summary(self, m: int, diagnostics: np.ndarray) -> RunSummary:
+        return _summarize(diagnostics, float(self.max_abs_w[m]))
 
     def thickness(self, m: int, tol: float) -> BLThickness:
         return _thickness((self.cell[m], self.node[m]), tol, self.grid)
@@ -258,13 +279,14 @@ class _Comparison:
 def run_sweep(plan: SweepPlan) -> SweepResult:
     """Run the mu = 0 reference and every mu value in lockstep, compare
     each mu run with the reference as the batch steps, and give each
-    member its columns and its status. Only the reference's snapshots
-    are kept; the fits are made from the columns (SweepResult.fit)."""
+    member its columns and its status. No snapshot is kept: the
+    reference is reduced as it steps, as the members are, to a
+    ReferenceRun. The fits are made from the columns (SweepResult.fit)."""
     compare = _Comparison(plan)
     reference, *runs = run_lockstep(plan.initial, plan.grid, plan.params,
                                     plan.bdry, plan.time,
                                     (0.0,) + tuple(plan.mu_values),
-                                    on_snapshot=compare, store=(0,))
+                                    on_snapshot=compare)
     if isinstance(reference, RunAborted):
         raise reference
     rows = []
@@ -278,16 +300,18 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
             rows.append((None, None, member_status, None, diags.report,
                          [None] * len(plan.interior_deltas)))
         else:
-            rows.append((compare.errors(m, reference.snapshot_times),
-                         bl.delta, member_status,
-                         _summarize(diags, float(compare.max_abs_w[m])),
-                         None, compare.w_sq[m].tolist()))
+            rows.append((compare.errors(m), bl.delta, member_status,
+                         compare.summary(m, diags), None,
+                         compare.w_sq[m].tolist()))
     errors, deltas, status, summaries, failures, w_sq = map(list, zip(*rows))
     return SweepResult(mu_values=tuple(plan.mu_values), errors=errors,
                        deltas=deltas, status=status, summaries=summaries,
                        interior_w_grads=dict(zip(plan.interior_deltas,
                                                  map(list, zip(*w_sq)))),
-                       failures=failures, reference=reference)
+                       failures=failures, reference=ReferenceRun(
+                           snapshot_times=np.array(compare.times),
+                           diagnostics=reference,
+                           summary=compare.summary(0, reference)))
 
 
 TAU_COLUMNS = ("mu", "delta", "tau", "w_grad_interior")
@@ -377,7 +401,8 @@ def report(result: SweepResult) -> dict:
     adds the envelope and sqrt(mu) * max_t ||w_x||^2 per member.
 
     "members" holds, per mu value in order, the errors, delta* and the
-    status (see SweepResult). "rate" and "alpha" are result.fit's fits,
+    status (see SweepResult), and "reference" the RunSummary of the
+    mu = 0 reference. "rate" and "alpha" are result.fit's fits,
     and "envelope" the tau table's affine envelope, with the table, as
     columns, in "tau_table". A fit that cannot be made is None, and
     "<fit>_reason" beside it says why (see _left_out); the tau table is
@@ -403,7 +428,8 @@ def report(result: SweepResult) -> dict:
                           float(np.sqrt(mu)) * s.max_w_grad_l2
                           for mu, s in zip(result.mu_values,
                                            result.summaries)],
-        "failures": result.failures}
+        "failures": result.failures,
+        "reference": asdict(result.reference.summary)}
     for name in ("rate", "alpha"):
         fit, out[f"{name}_reason"] = result.fit(name)
         out[name] = None if fit is None else asdict(fit)

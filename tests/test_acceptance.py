@@ -1,9 +1,10 @@
 """Acceptance gate: one test per numbered criterion, each printing a
 single pass/fail line with the measured value and its threshold.
 
-The mu-sweep criteria (8 through 11) share one module-scoped sweep so
+The mu-sweep criteria (8 through 12) share one module-scoped sweep so
 the expensive runs happen once, and read its numbers from sweep.report,
-which `planemhd sweep` writes. The last test runs the accept-sweep
+which `planemhd sweep` writes; criterion 12 reruns its plan with the
+CFL limit setting every step. The last test runs the accept-sweep
 benchmark's full-size check on the same sweep.
 """
 
@@ -49,8 +50,8 @@ def bump_run():
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    """Shared vanishing-viscosity sweep for criteria 8 through 11.
+def sweep_plan():
+    """The plan of the shared vanishing-viscosity sweep.
 
     Transverse fields start at rest and are driven by a cosine-ramp wall
     velocity of amplitude 1; dt is pinned below the acoustic limit so
@@ -60,12 +61,17 @@ def sweep():
     params = PhysParams(lam=1.0, mu=0.1, nu=1.0, gamma=1.4)
     bdry = BoundaryData("cosine-ramp", 1.0, 0.25)
     cfg = TimeConfig(t_end=0.5, cfl=0.8, dt_max=5e-4, snapshot_stride=10)
-    plan = SweepPlan(mu_values=(1e-2, 1e-3, 1e-4, 1e-5), grid=grid,
+    return SweepPlan(mu_values=(1e-2, 1e-3, 1e-4, 1e-5), grid=grid,
                      params=params, bdry=bdry, time=cfg,
                      initial=make_initial_state(grid, "transverse-rest",
                                                 bdry),
                      bl_tol=0.05)
-    result = run_sweep(plan)
+
+
+@pytest.fixture(scope="module")
+def sweep(sweep_plan):
+    """Shared vanishing-viscosity sweep for criteria 8 through 12."""
+    result = run_sweep(sweep_plan)
     return result, report(result)
 
 
@@ -202,7 +208,7 @@ def test_criterion_09_boundary_layer_thickness(sweep):
     nonincreasing = all(a >= b for a, b in zip(deltas, deltas[1:]))
     # the mu = 0 reference keeps w identically zero, so the full-domain
     # sup-deviation of each run is its own max |w|
-    assert np.all(result.reference.w == 0.0)
+    assert result.reference.summary.max_abs_w == 0.0
     sup_dev = min(s.max_abs_w for s in result.summaries)
     alpha = rep["alpha"]["exponent"]
     ok = nonincreasing and sup_dev >= 0.9 and 0.2 < alpha < 0.6
@@ -243,6 +249,35 @@ def test_criterion_11_tau_table_envelope(sweep):
             f" dominates={dominated}")
 
 
+def test_criterion_12_time_step_independence(sweep_plan, sweep):
+    """The shared plan with the CFL limit setting every step and a
+    snapshot at each one gives the p, alpha and delta* of the shared
+    sweep, whose dt_max pins every step below that limit."""
+    _, rep = sweep
+    time = replace(sweep_plan.time, dt_max=1e-2, snapshot_stride=1)
+    cfl = run_sweep(replace(sweep_plan, time=time))
+    cfl_rep = report(cfl)
+    ref = cfl.reference
+    steps = np.diff(ref.diagnostics["t"])
+    # the CFL limit sets every step, and every step is a snapshot
+    assert steps.max() < time.dt_max
+    np.testing.assert_array_equal(ref.snapshot_times, ref.diagnostics["t"])
+    dp = abs(cfl_rep["rate"]["exponent"] - rep["rate"]["exponent"])
+    dalpha = abs(cfl_rep["alpha"]["exponent"] - rep["alpha"]["exponent"])
+    same_deltas = (cfl_rep["members"]["delta_star"]
+                   == rep["members"]["delta_star"])
+    ok = dp <= 1e-3 and dalpha <= 1e-3 and same_deltas
+    _report(12, "time-step independence", ok,
+            f"p {cfl_rep['rate']['exponent']:.6f} vs "
+            f"{rep['rate']['exponent']:.6f}, |dp| {dp:.1e} <= 1e-3; "
+            f"alpha {cfl_rep['alpha']['exponent']:.6f} vs "
+            f"{rep['alpha']['exponent']:.6f}, |dalpha| {dalpha:.1e} <= 1e-3; "
+            f"envelope residual "
+            f"{cfl_rep['envelope']['rel_residual']:.6f} vs "
+            f"{rep['envelope']['rel_residual']:.6f}; "
+            f"delta* equal={same_deltas}; {len(steps)} CFL steps")
+
+
 # ------------------------------------------------------ benchmark check
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -258,7 +293,8 @@ def _load(name, monkeypatch):
     return module
 
 
-def test_benchmark_check_reads_the_sweep(sweep, monkeypatch, tmp_path):
+def test_benchmark_check_reads_the_sweep(sweep_plan, sweep, monkeypatch,
+                                        tmp_path):
     """The accept-sweep benchmark's full-size check reads p, alpha, the
     envelope residual and delta* off the sweep result as the benchmark
     run does (the --tiny smoke run skips it), and finds the acceptance
@@ -272,7 +308,7 @@ def test_benchmark_check_reads_the_sweep(sweep, monkeypatch, tmp_path):
     bench = workloads.AcceptSweep(program, seed=1, tiny=False,
                                   workdir=tmp_path)
     assert bench.plan.mu_values == result.mu_values
-    assert bench.plan.grid.n_cells == result.reference.rho.shape[1]
+    assert bench.plan.grid.n_cells == sweep_plan.grid.n_cells
     _, _, problems = bench.check(
         (result, sweep_module.thickness_scaling_report(result)))
     assert problems == []

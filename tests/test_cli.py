@@ -248,6 +248,9 @@ class TestSweepCommand:
         fits = json.loads((out / "fits.json").read_text())
         assert "scaled_w_grad" in fits
         assert fits["rate"] is not None and fits["rate_reason"] is None
+        # the mu = 0 reference's summary: from rest, its w stays 0
+        assert fits["reference"]["max_abs_w"] == 0.0
+        assert fits["reference"]["min_rho"] > 0
 
     def test_bl_outputs(self, tmp_path):
         """The boundary-layer half of the report, which the bl command

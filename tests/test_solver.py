@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
+from conftest import lockstep_trajectories
 from planemhd.core import (STATE_FIELDS, BoundaryData, FlowState, GridSpec,
                            PhysParams, make_initial_state)
 from planemhd import solver
@@ -601,26 +604,47 @@ class TestLockstep:
         """With dt_max setting every step, each member is bit for bit the
         run of its own mu, the mu = 0 member the limit system."""
         initial, grid, params, bdry, cfg = _lockstep_scenario()
-        outs = run_lockstep(initial, grid, params, bdry, cfg, MEMBERS)
+        outs = lockstep_trajectories(initial, grid, params, bdry, cfg,
+                                     MEMBERS)
         for mu, traj in zip(MEMBERS, outs):
             _assert_same_run(traj, run(initial, grid,
                                        replace(params, mu=mu), bdry, cfg))
 
+    @pytest.mark.parametrize("dt_max, stride", [(5e-4, 4), (5e-2, 1),
+                                                (5e-2, 3)])
+    def test_run_collects_every_snapshot(self, dt_max, stride):
+        """run's trajectory holds the snapshots its one member passes to
+        on_snapshot, also where the CFL limit sets dt and its arrays
+        outgrow the forecast made for steps of dt_max."""
+        initial, grid, params, bdry, cfg = _lockstep_scenario()
+        cfg = replace(cfg, t_end=0.1, dt_max=dt_max, snapshot_stride=stride)
+        traj = run(initial, grid, params, bdry, cfg)
+        (want,) = lockstep_trajectories(initial, grid, params, bdry, cfg,
+                                        (params.mu,))
+        _assert_same_run(traj, want)
+        forecast = 1 + math.ceil(round(cfg.t_end / dt_max) / stride)
+        assert (len(traj.snapshot_times) > forecast) == (dt_max == 5e-2)
+
     def test_members_own_their_arrays(self):
-        """No member's trajectory is a view of memory that holds another
-        member's data, so keeping one keeps no other alive."""
-        outs = run_lockstep(*_lockstep_scenario(), MEMBERS)
-        for traj in outs:
-            for name in ("rho", "u", "w", "b", "theta"):
-                assert getattr(traj, name).base is None, name
-                assert not getattr(traj, name).flags.writeable
+        """No member's diagnostics table is a view of memory that holds
+        another member's, and run's trajectory owns its snapshot arrays
+        (copied out of its batch row), so keeping one result keeps no
+        batch alive."""
+        scenario = _lockstep_scenario()
+        for table in run_lockstep(*scenario, MEMBERS):
+            assert table.base is None
+        traj = run(*scenario)
+        for name in ("rho", "u", "w", "b", "theta"):
+            assert getattr(traj, name).base is None, name
+            assert not getattr(traj, name).flags.writeable
 
     def test_nonfinite_member_leaves_alone(self, monkeypatch):
         """A member whose w turns to nan mid-run leaves with its own
         RunAborted, and the others are bit for bit what they are
         without it."""
         initial, grid, params, bdry, cfg = _lockstep_scenario()
-        clean = run_lockstep(initial, grid, params, bdry, cfg, MEMBERS)
+        clean = lockstep_trajectories(initial, grid, params, bdry, cfg,
+                                      MEMBERS)
         real = solver.advance_transverse
 
         def poisoned(state, grid, dt, params, *args):
@@ -630,7 +654,8 @@ class TestLockstep:
             return w_new
 
         monkeypatch.setattr(solver, "advance_transverse", poisoned)
-        outs = run_lockstep(initial, grid, params, bdry, cfg, MEMBERS)
+        outs = lockstep_trajectories(initial, grid, params, bdry, cfg,
+                                     MEMBERS)
         failed = outs[2]
         assert isinstance(failed, RunAborted)
         assert failed.report["t"] == pytest.approx(0.01)
@@ -653,8 +678,8 @@ class TestLockstep:
 
         monkeypatch.setattr(solver, "step", step_rejecting_second)
         outs = run_lockstep(initial, grid, params, bdry, cfg, MEMBERS)
-        for traj in outs:
-            t = traj.diagnostics["t"]
+        for table in outs:
+            t = table["t"]
             assert t[2] - t[1] == pytest.approx(0.5 * cfg.dt_max)
 
     def test_member_below_dt_min_leaves(self, monkeypatch):
@@ -671,7 +696,8 @@ class TestLockstep:
             return real_step(state, grid, dt, params, *args)
 
         monkeypatch.setattr(solver, "step", step_failing_mu)
-        outs = run_lockstep(initial, grid, params, bdry, cfg, MEMBERS)
+        outs = lockstep_trajectories(initial, grid, params, bdry, cfg,
+                                     MEMBERS)
         assert isinstance(outs[1], RunAborted)
         assert outs[1].report == {"t": pytest.approx(0.02),
                                   "reason": "test rejection", "field": "u",
@@ -691,7 +717,8 @@ class TestLockstep:
         """on_snapshot gets the batch state at t = 0 and at every
         snapshot, with the members still running in its rows."""
         initial, grid, params, bdry, cfg = _lockstep_scenario()
-        clean = run_lockstep(initial, grid, params, bdry, cfg, MEMBERS)
+        clean = lockstep_trajectories(initial, grid, params, bdry, cfg,
+                                      MEMBERS)
         seen = []
 
         def hook(state, members):
@@ -709,8 +736,8 @@ class TestLockstep:
             return real_step(state, grid, dt, params, *args)
 
         monkeypatch.setattr(solver, "step", step_failing_mu)
-        outs = run_lockstep(initial, grid, params, bdry, cfg, MEMBERS,
-                            on_snapshot=hook)
+        outs = lockstep_trajectories(initial, grid, params, bdry, cfg,
+                                     MEMBERS, on_snapshot=hook)
         assert isinstance(outs[2], RunAborted)
         left_at = outs[2].report["t"]
         assert [t for t, _, _ in seen] == list(outs[0].snapshot_times)
@@ -723,15 +750,14 @@ class TestLockstep:
                                           getattr(want, name)[s]), name
 
     def test_unstored_members_keep_diagnostics(self):
-        """Members left out of store return their diagnostics table in
-        place of a Trajectory; the stored ones are unchanged."""
+        """run_lockstep stores no member's snapshots: each member returns
+        its diagnostics table in place of a Trajectory, the table of the
+        trajectory its snapshots make."""
         initial, grid, params, bdry, cfg = _lockstep_scenario()
-        full = run_lockstep(initial, grid, params, bdry, cfg, MEMBERS)
-        outs = run_lockstep(initial, grid, params, bdry, cfg, MEMBERS,
-                            store=(0, 2))
-        for i in (0, 2):
-            _assert_same_run(outs[i], full[i])
-        for i in (1, 3):
+        full = lockstep_trajectories(initial, grid, params, bdry, cfg,
+                                     MEMBERS)
+        outs = run_lockstep(initial, grid, params, bdry, cfg, MEMBERS)
+        for i in range(len(MEMBERS)):
             assert isinstance(outs[i], np.ndarray)
             assert np.array_equal(outs[i], full[i].diagnostics)
 

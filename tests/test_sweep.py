@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import lockstep_trajectories
 from planemhd.core import (STATE_FIELDS, BoundaryData, FlowState,
                            GridSpec, PhysParams, Trajectory,
                            make_initial_state)
 from planemhd.diagnostics import (ErrorNorms, error_norms,
-                                  interior_sup_deviation, interior_w_grad)
-from planemhd.solver import TimeConfig, run, run_lockstep
-from planemhd.sweep import (BL_DELTA_CEILING, BLThickness, SweepPlan,
-                            SweepResult, _envelope, _summarize,
+                                  interior_sup_deviation, interior_w_grad,
+                                  record)
+from planemhd.solver import TimeConfig, run
+from planemhd.sweep import (BL_DELTA_CEILING, BLThickness, ReferenceRun,
+                            SweepPlan, SweepResult, _envelope, _summarize,
                             _upper_hull, bl_thickness, fit_power_law,
                             report, run_sweep, thickness_scaling_report)
 
@@ -274,7 +276,10 @@ def _synthetic_result(interior):
     deltas = [float(np.sqrt(m)) for m in mu]
     errors = [ErrorNorms(m ** 0.25, 0.0, m ** 0.25) for m in mu]
     grid = GridSpec(16)
-    ref = Trajectory((make_initial_state(grid, "uniform"),), (None,))
+    table = np.array([record(make_initial_state(grid, "uniform"), grid,
+                             PhysParams())])
+    ref = ReferenceRun(snapshot_times=np.zeros(1), diagnostics=table,
+                       summary=_summarize(table, 0.0))
     return SweepResult(mu_values=mu, errors=errors, deltas=deltas,
                        status=["ok"] * 4, summaries=[None] * 4,
                        interior_w_grads=interior, failures=[None] * 4,
@@ -426,7 +431,7 @@ class TestRunSweep:
         assert all(e is not None for e in result.errors)
         assert len(result.interior_w_grads[0.1]) == 3
         # the mu = 0 reference keeps the transverse fields at rest
-        assert np.all(result.reference.w == 0.0)
+        assert result.reference.summary.max_abs_w == 0.0
 
     def test_members_without_layer(self):
         """With a wall at rest the transverse fields never leave the
@@ -461,7 +466,7 @@ class TestRunSweep:
         result = run_sweep(plan)
         assert result.failures == [None, None]
         assert all(e is not None for e in result.errors)
-        reference, *members = run_lockstep(
+        reference, *members = lockstep_trajectories(
             plan.initial, grid, plan.params, bdry, plan.time,
             (0.0,) + plan.mu_values)
         np.testing.assert_array_equal(reference.snapshot_times,
@@ -481,7 +486,7 @@ def _ramp_plan(n_cells, time, mu_values=(1e-2, 1e-3, 1e-4)):
 
 class TestSweepComparison:
     """run_sweep compares each member with the reference as the batch
-    steps and keeps no member snapshots."""
+    steps and keeps no snapshots."""
 
     @pytest.mark.parametrize("dt_max", [1e-2, 1e-3],
                              ids=["cfl-sets-dt", "dt-max-sets-dt"])
@@ -493,7 +498,7 @@ class TestSweepComparison:
                                          snapshot_stride=3))
         grid = plan.grid
         result = run_sweep(plan)
-        reference, *members = run_lockstep(
+        reference, *members = lockstep_trajectories(
             plan.initial, grid, plan.params, plan.bdry, plan.time,
             (0.0,) + plan.mu_values)
         steps = np.diff(reference.diagnostics["t"])
@@ -509,21 +514,24 @@ class TestSweepComparison:
             assert result.summaries[i] == _summarize(
                 traj.diagnostics, float(np.abs(traj.w).max()))
 
-    def test_peak_memory_below_two_reference_copies(self):
-        """A sweep's traced peak stays below twice the reference's
-        snapshot bytes: member snapshots are never stored."""
+    def test_peak_memory_independent_of_snapshot_count(self):
+        """A sweep's traced peak does not grow with its snapshot count:
+        with a snapshot at each of 200 steps it stays below 1.5 times
+        the peak with a snapshot at the first and last step only, as no
+        snapshot, the reference's included, is kept."""
         plan = _ramp_plan(128, TimeConfig(t_end=0.1, dt_max=5e-4),
                           (1e-2, 1e-3, 1e-4, 1e-5))
         # warm the per-grid caches on a short sweep of the same grid
         run_sweep(replace(plan, time=replace(plan.time, t_end=1e-3)))
-        tracemalloc.start()
-        try:
-            result = run_sweep(plan)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        ref = result.reference
-        assert len(ref.snapshot_times) == 201
-        snapshot_bytes = sum(getattr(ref, name).nbytes
-                             for name in STATE_FIELDS)
-        assert peak < 2 * snapshot_bytes
+        peaks = {}
+        for stride in (1, 200):
+            tracemalloc.start()
+            try:
+                result = run_sweep(replace(plan, time=replace(
+                    plan.time, snapshot_stride=stride)))
+                peaks[stride] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(result.reference.snapshot_times) == (
+                201 if stride == 1 else 2)
+        assert peaks[1] < 1.5 * peaks[200]
