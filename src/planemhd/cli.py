@@ -195,8 +195,6 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
 
             (diag,) = run_lockstep(initial, grid, params, bdry, tcfg,
                                    (params.mu,), on_snapshot=on_snapshot)
-            if isinstance(diag, RunAborted):
-                raise diag
     except RunAborted as exc:
         code, payload = 1, {"status": "aborted", "failure": exc.report}
     else:

@@ -2,8 +2,9 @@
 
 Staggered layout on the unit interval: density and temperature live at
 cell centers, velocities and the magnetic field at nodes. States are
-immutable once constructed, so they can be shared freely across sweep
-workers.
+immutable once constructed, so a state can be kept or passed on without
+a copy; a FlowState with a leading member axis holds the rows of a
+lockstep batch.
 """
 
 from __future__ import annotations
@@ -184,10 +185,11 @@ class Trajectory:
     diagnostics.
 
     With S snapshots on an N-cell grid, snapshot_times is (S,), rho and
-    theta are (S, N), u is (S, N+1), w and b are (S, N+1, 2). The arrays
-    are read-only. The constructor stacks validated FlowStates and takes
-    each snapshot time from its state's t. diagnostics is the structured
-    table of diagnostics.DIAGNOSTICS_DTYPE rows, kept as a read-only copy.
+    theta are (S, N), u is (S, N+1), w and b are (S, N+1, 2). The
+    constructor stacks validated FlowStates once, takes each snapshot
+    time from its state's t, and makes the stacks read-only. diagnostics
+    is the structured table of diagnostics.DIAGNOSTICS_DTYPE rows, kept
+    as a read-only copy.
     """
 
     snapshot_times: np.ndarray
@@ -201,30 +203,15 @@ class Trajectory:
     def __init__(self, states: Sequence[FlowState], diagnostics):
         if not states:
             raise InvalidStateError("a trajectory needs at least one state")
-        self._keep([s.t for s in states],
-                   {name: np.stack([getattr(s, name) for s in states])
-                    for name in STATE_FIELDS}, diagnostics)
-
-    @classmethod
-    def from_arrays(cls, snapshot_times: Sequence[float],
-                    fields: Mapping[str, np.ndarray],
-                    diagnostics) -> "Trajectory":
-        """A trajectory over fields already stacked along a leading time
-        axis from validated states, as the solver collects them. The
-        field arrays are kept, not copied, and become read-only."""
-        traj = cls.__new__(cls)
-        traj._keep(snapshot_times, fields, diagnostics)
-        return traj
-
-    def _keep(self, snapshot_times, fields, diagnostics):
-        t = _frozen(snapshot_times)
+        t = _frozen([s.t for s in states])
         if t[0] != 0.0 or np.any(np.diff(t) <= 0):
             raise InvalidStateError(
                 "snapshot times must start at 0 and be strictly increasing")
         object.__setattr__(self, "snapshot_times", t)
         for name in STATE_FIELDS:
-            fields[name].setflags(write=False)
-            object.__setattr__(self, name, fields[name])
+            stack = np.stack([getattr(s, name) for s in states])
+            stack.setflags(write=False)
+            object.__setattr__(self, name, stack)
         object.__setattr__(self, "diagnostics", _frozen(diagnostics, None))
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import copy
 import ctypes
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
 
@@ -88,6 +87,19 @@ class ForcingSpec:
     transverse: _Src = None
     induction: _Src = None
     energy: _Src = None
+
+
+def _source(forcing: Optional[ForcingSpec], name: str, grid: GridSpec,
+            t: float) -> Optional[np.ndarray]:
+    """The forcing entry name at time t, sampled at the cell centers of
+    grid for continuity and energy and at its nodes for the others; None
+    where the entry is absent. The positions are built only for an entry
+    that is there, so an unforced step builds none."""
+    f = None if forcing is None else getattr(forcing, name)
+    if f is None:
+        return None
+    return f(grid.cell_centers if name in ("continuity", "energy")
+             else grid.node_positions, t)
 
 
 # LAPACK dgtsv (Fortran calling convention, 64-bit integers) from the
@@ -299,9 +311,9 @@ def advance_density(state: FlowState, grid: GridSpec, dt: float,
     up = np.where(u[..., 1:-1] > 0, rho[..., :-1], rho[..., 1:])
     flux[..., 1:-1] = up * u[..., 1:-1]
     rho_new = rho - (dt / dx) * np.diff(flux)
-    if forcing is not None and forcing.continuity is not None:
-        rho_new = rho_new + dt * forcing.continuity(grid.cell_centers,
-                                                    state.t + dt)
+    f_rho = _source(forcing, "continuity", grid, state.t + dt)
+    if f_rho is not None:
+        rho_new = rho_new + dt * f_rho
     _check_positive(rho_new, "density became nonpositive", "rho", state.t)
     return rho_new
 
@@ -336,9 +348,7 @@ def velocity_system(grid: GridSpec, params: PhysParams, dt: float,
 def advance_velocity(state: FlowState, grid: GridSpec, dt: float,
                      params: PhysParams, rho_new: np.ndarray,
                      forcing: Optional[ForcingSpec] = None) -> np.ndarray:
-    f_u = None
-    if forcing is not None and forcing.momentum is not None:
-        f_u = forcing.momentum(grid.node_positions, state.t + dt)
+    f_u = _source(forcing, "momentum", grid, state.t + dt)
     lower, diag, upper, rhs = velocity_system(
         grid, params, dt, rho_new, state.u, state.theta, state.b, f_u)
     u_new = np.zeros_like(state.u)
@@ -383,9 +393,7 @@ def advance_transverse(state: FlowState, grid: GridSpec, dt: float,
     """Transverse velocity update: the hyperbolic limit update where
     mu = 0, the implicit one where mu > 0, member by member in a batch."""
     t_new = state.t + dt
-    f_w = None
-    if forcing is not None and forcing.transverse is not None:
-        f_w = forcing.transverse(grid.node_positions, t_new)
+    f_w = _source(forcing, "transverse", grid, t_new)
     limit = np.asarray(params.mu == 0.0)    # () alone, (R, 1) in a batch
     if limit.all():
         return _advance_transverse_limit(grid, dt, state.rho, state.w,
@@ -475,9 +483,7 @@ def advance_induction(state: FlowState, grid: GridSpec, dt: float,
                       params: PhysParams, u_new: np.ndarray,
                       w_new: np.ndarray,
                       forcing: Optional[ForcingSpec] = None) -> np.ndarray:
-    f_b = None
-    if forcing is not None and forcing.induction is not None:
-        f_b = forcing.induction(grid.node_positions, state.t + dt)
+    f_b = _source(forcing, "induction", grid, state.t + dt)
     lower, diag, upper, rhs = induction_system(
         grid, params, dt, u_new, w_new, state.b, f_b)
     b_new = np.zeros_like(state.b)
@@ -526,9 +532,7 @@ def advance_temperature(state: FlowState, grid: GridSpec, dt: float,
                         u_new: np.ndarray, w_new: np.ndarray,
                         b_new: np.ndarray,
                         forcing: Optional[ForcingSpec] = None) -> np.ndarray:
-    f_th = None
-    if forcing is not None and forcing.energy is not None:
-        f_th = forcing.energy(grid.cell_centers, state.t + dt)
+    f_th = _source(forcing, "energy", grid, state.t + dt)
     lower, diag, upper, rhs = temperature_system(
         grid, params, dt, state.rho, rho_new, state.theta,
         u_new, w_new, b_new, f_th)
@@ -569,18 +573,22 @@ def run_lockstep(initial: FlowState, grid: GridSpec, params: PhysParams,
     step() over the batch. Its dt is the smallest CFL step over the
     live members, at most dt_max. A StepFailure in any member halves
     dt for all; a member that still fails at dt_min, or whose CFL step
-    falls below dt_min, leaves with its RunAborted, and the others redo
-    the step without it. Snapshots are taken every snapshot_stride
-    accepted steps plus the final state; the diagnostics table has one
-    row for the initial state and one for every accepted step.
+    falls below dt_min, leaves with its RunAborted. If that member is
+    member 0, the RunAborted is raised at once, chained from the
+    StepFailure: every caller compares with or reports member 0, so the
+    others are not worth finishing. A member >= 1 leaves alone, and the
+    others redo the step without it. Snapshots are taken every
+    snapshot_stride accepted steps plus the final state; the
+    diagnostics table has one row for the initial state and one for
+    every accepted step.
 
     No snapshot is kept. on_snapshot(state, members), if given, is
     called with the batch state at t = 0 and at every snapshot; members
     names the member in each row of state. A caller that wants a
     member's snapshots copies them out of its row there, as run does.
 
-    Returns per member its diagnostics table, or the RunAborted that
-    ended it.
+    Returns per member its diagnostics table, or, for a member >= 1,
+    the RunAborted that ended it.
     """
     mu = np.array(mu_values, dtype=float)
     if mu.ndim != 1 or not np.all((mu >= 0) & (mu < np.inf)):  # NaN fails too
@@ -591,21 +599,21 @@ def run_lockstep(initial: FlowState, grid: GridSpec, params: PhysParams,
         raise ValueError(f"initial must be one state of {grid.n_cells} "
                          f"cells, not rho of shape {initial.rho.shape}")
     t_end = cfg.t_end
-    members = list(range(len(mu)))      # the member in each batch row
+    members = tuple(range(len(mu)))     # the member in each batch row
     state = FlowState(t=initial.t, **{
         name: np.broadcast_to(getattr(initial, name),
                               (len(mu),) + getattr(initial, name).shape)
         for name in STATE_FIELDS})
     batch = _with_mu(params, mu)
     outcome: list = [None] * len(mu)
-    # per member its own diagnostics, copied out of the batch rows
-    diags = [_Rows(row, _rows_left(state.t, cfg, cfg.dt_max))
-             for row in _diag.record(state, grid, batch)]
+    # per accepted step, the members in the batch rows and their
+    # diagnostics rows; each member's table is built from them at the end
+    records = [(members, _diag.record(state, grid, batch))]
     if on_snapshot is not None:
-        on_snapshot(state, tuple(members))
+        on_snapshot(state, members)
     k = 0
     eps = 1e-12 * max(t_end, 1.0)
-    while members and state.t < t_end - eps:
+    while state.t < t_end - eps:
         try:
             dt = min(stable_dt(state, grid, batch, cfg), t_end - state.t)
             while True:
@@ -617,67 +625,30 @@ def run_lockstep(initial: FlowState, grid: GridSpec, params: PhysParams,
                     if dt < cfg.dt_min:
                         raise
         except StepFailure as exc:
-            m = members.pop(exc.member)
-            outcome[m] = RunAborted({"t": state.t, "reason": exc.reason,
-                                     "field": exc.field, "index": exc.index})
-            outcome[m].__cause__ = exc
-            diags[m] = None
-            keep = np.arange(len(members) + 1) != exc.member
+            row, m = exc.member, members[exc.member]
+            aborted = RunAborted({"t": state.t, "reason": exc.reason,
+                                  "field": exc.field, "index": exc.index})
+            if m == 0:
+                raise aborted from exc
+            aborted.__cause__ = exc
+            outcome[m] = aborted
+            members = members[:row] + members[row + 1:]
+            keep = np.arange(len(members) + 1) != row
             state = FlowState(t=state.t, **{
                 name: getattr(state, name)[keep] for name in STATE_FIELDS})
             batch = _with_mu(params, batch.mu[keep])
             continue
         state = new_state
         k += 1
-        n_diags = _rows_left(state.t, cfg, dt)
-        for m, row in zip(members, _diag.record(state, grid, batch)):
-            diags[m].append(row, n_diags)
+        records.append((members, _diag.record(state, grid, batch)))
         if (on_snapshot is not None
                 and (k % cfg.snapshot_stride == 0 or state.t >= t_end - eps)):
-            on_snapshot(state, tuple(members))
+            on_snapshot(state, members)
     for m in members:
-        outcome[m] = diags[m].array()
-        diags[m] = None
+        outcome[m] = np.array([table[live.index(m)]
+                               for live, table in records],
+                              _diag.DIAGNOSTICS_DTYPE)
     return outcome
-
-
-def _rows_left(t: float, cfg: TimeConfig, dt: float, stride: int = 1) -> int:
-    """Rows from time t on, the one at t included, if every step up to
-    t_end takes dt and one row is taken every stride steps (and at
-    t_end): the forecast that sizes a _Rows."""
-    steps = max(math.ceil((cfg.t_end - t) / dt), 0)
-    return 1 + math.ceil(steps / stride)
-
-
-class _Rows:
-    """An array filled one row at a time.
-
-    It is allocated for a forecast number of rows and regrown by the
-    forecast of the rows left, this one included, when that runs out.
-    When the forecast holds, as it does whenever dt_max sets every step,
-    the array itself is the result: each row is copied once, into memory
-    of its own member, and the heap is not left holding a freed copy of
-    every snapshot.
-    """
-
-    def __init__(self, first: np.ndarray, size: int):
-        self.data = np.empty((size,) + first.shape, first.dtype)
-        self.data[0] = first
-        self.n = 1
-
-    def append(self, row: np.ndarray, rows_left: int):
-        if self.n == len(self.data):
-            grown = np.empty((self.n + rows_left,) + self.data.shape[1:],
-                             self.data.dtype)
-            grown[:self.n] = self.data
-            self.data = grown
-        self.data[self.n] = row
-        self.n += 1
-
-    def array(self) -> np.ndarray:
-        if self.n == len(self.data):
-            return self.data
-        return self.data[:self.n].copy()
 
 
 def run(initial: FlowState, grid: GridSpec, params: PhysParams,
@@ -686,28 +657,14 @@ def run(initial: FlowState, grid: GridSpec, params: PhysParams,
     """Integrate to t_end with CFL-controlled steps and dt-halving retry:
     the one-member case of run_lockstep, which raises its RunAborted.
 
-    The snapshots are copied out of the batch row through on_snapshot,
-    one _Rows per field, sized for steps of dt_max and regrown by the
-    mean step since the last snapshot."""
-    stride = cfg.snapshot_stride
-    times: List[float] = []
-    fields = {}
+    Each snapshot is copied out of batch row 0 as a FlowState through
+    on_snapshot, and the trajectory stacks them once."""
+    states: List[FlowState] = []
 
     def keep(state: FlowState, members: tuple):
-        if not times:
-            size = _rows_left(state.t, cfg, cfg.dt_max, stride)
-            fields.update({name: _Rows(getattr(state, name)[0], size)
-                           for name in STATE_FIELDS})
-        else:
-            left = _rows_left(state.t, cfg, (state.t - times[-1]) / stride,
-                              stride)
-            for name, rows in fields.items():
-                rows.append(getattr(state, name)[0], left)
-        times.append(state.t)
+        states.append(FlowState(t=state.t, **{
+            name: getattr(state, name)[0] for name in STATE_FIELDS}))
 
-    (out,) = run_lockstep(initial, grid, params, bdry, cfg, (params.mu,),
-                          forcing, on_snapshot=keep)
-    if isinstance(out, RunAborted):
-        raise out
-    return Trajectory.from_arrays(
-        times, {name: rows.array() for name, rows in fields.items()}, out)
+    (table,) = run_lockstep(initial, grid, params, bdry, cfg, (params.mu,),
+                            forcing, on_snapshot=keep)
+    return Trajectory(states, table)

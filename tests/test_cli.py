@@ -504,13 +504,15 @@ def _fail_after(n_snapshots):
 
 
 def _abort_at_end():
-    """A run_lockstep that streams every snapshot, then aborts."""
+    """A run_lockstep that streams every snapshot, then raises the
+    RunAborted of its member 0, as run_lockstep does when member 0
+    aborts."""
     real = cli.run_lockstep
 
     def aborting(*args, **kwargs):
         real(*args, **kwargs)
-        return [RunAborted({"t": 0.2, "reason": "test", "field": "u",
-                            "index": 0})]
+        raise RunAborted({"t": 0.2, "reason": "test", "field": "u",
+                          "index": 0})
 
     return aborting
 

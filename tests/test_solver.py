@@ -614,8 +614,8 @@ class TestLockstep:
                                                 (5e-2, 3)])
     def test_run_collects_every_snapshot(self, dt_max, stride):
         """run's trajectory holds the snapshots its one member passes to
-        on_snapshot, also where the CFL limit sets dt and its arrays
-        outgrow the forecast made for steps of dt_max."""
+        on_snapshot, also where the CFL limit sets dt and there are more
+        snapshots than steps of dt_max would give."""
         initial, grid, params, bdry, cfg = _lockstep_scenario()
         cfg = replace(cfg, t_end=0.1, dt_max=dt_max, snapshot_stride=stride)
         traj = run(initial, grid, params, bdry, cfg)
@@ -798,3 +798,20 @@ class TestRobustness:
             return
         for name in STATE_FIELDS:
             assert np.isfinite(getattr(traj, name)).all(), name
+
+    @given(_admissible_runs())
+    @settings(max_examples=25, deadline=None)
+    def test_lockstep_ends_finite_or_aborted(self, scenario):
+        """A batch of the mu = 0 reference and the drawn mu either raises
+        the reference's RunAborted or returns, for the other member, a
+        finite diagnostics table or the RunAborted that ended it, never
+        another exception."""
+        initial, grid, params, bdry, cfg = scenario
+        try:
+            _, out = run_lockstep(initial, grid, params, bdry, cfg,
+                                  (0.0, params.mu))
+        except RunAborted:
+            return
+        if not isinstance(out, RunAborted):
+            for name in out.dtype.names:
+                assert np.isfinite(out[name]).all(), name

@@ -13,7 +13,8 @@ from planemhd.core import (STATE_FIELDS, BoundaryData, FlowState,
 from planemhd.diagnostics import (ErrorNorms, error_norms,
                                   interior_sup_deviation, interior_w_grad,
                                   record)
-from planemhd.solver import TimeConfig, run
+from planemhd import solver
+from planemhd.solver import RunAborted, StepFailure, TimeConfig, run
 from planemhd.sweep import (BL_DELTA_CEILING, BLThickness, ReferenceRun,
                             SweepPlan, SweepResult, _envelope, _summarize,
                             _upper_hull, bl_thickness, fit_power_law,
@@ -474,6 +475,30 @@ class TestRunSweep:
         for traj in members:
             np.testing.assert_array_equal(traj.snapshot_times,
                                           reference.snapshot_times)
+
+    def test_reference_abort_ends_the_batch(self, monkeypatch):
+        """When the mu = 0 reference aborts, run_sweep raises its
+        RunAborted, chained from the StepFailure, and no member takes a
+        step past the abort time."""
+        plan = _ramp_plan(64, TimeConfig(t_end=0.5, dt_max=5e-4))
+        real_step = solver.step
+        calls = []
+
+        def step_failing_reference(state, grid, dt, params, *args):
+            calls.append(state.t)
+            if state.t >= 0.01 and np.ravel(params.mu)[0] == 0.0:
+                raise StepFailure("test rejection", "u", 3, state.t,
+                                  member=0)
+            return real_step(state, grid, dt, params, *args)
+
+        monkeypatch.setattr(solver, "step", step_failing_reference)
+        with pytest.raises(RunAborted) as exc:
+            run_sweep(plan)
+        left_at = exc.value.report["t"]
+        assert left_at == pytest.approx(0.01, abs=plan.time.dt_max)
+        assert exc.value.report["reason"] == "test rejection"
+        assert isinstance(exc.value.__cause__, StepFailure)
+        assert [t for t in calls if t > left_at] == []
 
 
 def _ramp_plan(n_cells, time, mu_values=(1e-2, 1e-3, 1e-4)):
