@@ -8,8 +8,7 @@ from .solver import (ForcingSpec, RunAborted, StepFailure, TimeConfig, run,
                      run_lockstep, step, tridiag_solve)
 from .diagnostics import (DIAGNOSTICS_DTYPE, ErrorNorms,
                           energy_balance_residual, entropy_monotonicity,
-                          error_norms, interior_sup_deviation, record,
-                          weight_omega)
+                          error_norms, interior_sup_deviation, record)
 from .sweep import (BLThickness, PowerLawFit, SweepPlan, SweepResult,
                     bl_thickness, fit_power_law, run_sweep,
                     thickness_scaling_report)

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from .core import BoundaryData, GridSpec, PhysParams, PRESETS
 from .solver import TimeConfig
-from .sweep import check_settings
+from .sweep import check_settings, default_bl_tol
 
 
 class ConfigError(ValueError):
@@ -85,11 +85,9 @@ class RunConfig:
         return self._floats("interior_deltas")
 
     def bl_tol(self) -> float:
-        """sweep.bl_tol if given, else 5% of the boundary amplitude."""
-        tol = self.raw["sweep"].get("bl_tol")
-        if tol is None:
-            return 0.05 * max(abs(self.raw["boundary"]["amplitude"]), 1e-12)
-        return tol
+        """sweep.bl_tol if given, else SweepPlan's default_bl_tol."""
+        return self.raw["sweep"].get("bl_tol", default_bl_tol(
+            self.raw["boundary"]["amplitude"]))
 
 
 def parse_config(text: str,

@@ -1,5 +1,5 @@
-"""Computable counterparts of the conserved quantities, weighted norms,
-and error functionals used to check the mu-uniform estimates.
+"""Computable counterparts of the conserved quantities, and the error
+functionals of a viscous run against its mu = 0 reference.
 
 Quadrature is midpoint rule in space on cell quantities and trapezoid in
 time; gradients are the same forward differences the solver uses.
@@ -8,7 +8,6 @@ time; gradients are the same forward differences the solver uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Tuple, Union
 
 import numpy as np
@@ -17,16 +16,11 @@ from .core import FlowState, GridSpec, PhysParams, Trajectory
 from .eos import (dissipation_q, entropy_density, sq_norm,
                   total_energy_density)
 
-WEIGHT_ORDERS = (1, 2, 3, 4)
-
-
 # One row per recorded state; diagnostics.csv writes these columns in
-# this order. w_grad_l2 is the squared L2 norm of w_x, weighted_w_grad_n
-# the same norm weighted by omega ** n.
+# this order. w_grad_l2 is the squared L2 norm of w_x.
 DIAGNOSTICS_DTYPE = np.dtype([(name, np.float64) for name in (
     "t", "mass", "total_energy", "total_entropy", "min_rho", "max_rho",
-    "min_theta", "max_theta", "dissipation_integral", "w_grad_l2",
-    *(f"weighted_w_grad_{n}" for n in WEIGHT_ORDERS))])
+    "min_theta", "max_theta", "dissipation_integral", "w_grad_l2")])
 
 
 @dataclass(frozen=True)
@@ -34,14 +28,6 @@ class ErrorNorms:
     state_error: float
     gradient_error: float
     combined: float
-
-
-def weight_omega(x):
-    """Distance-to-boundary cutoff: x on [0,1/2], 1-x on [1/2,1]."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or np.any(x > 1):
-        raise ValueError("weight_omega requires x in [0, 1]")
-    return np.minimum(x, 1.0 - x)
 
 
 def total_energy(fields: Union[FlowState, Trajectory], grid: GridSpec,
@@ -59,21 +45,6 @@ def total_energy(fields: Union[FlowState, Trajectory], grid: GridSpec,
     return e.sum(axis=-1) * grid.dx
 
 
-@lru_cache(maxsize=8)
-def _omega_powers(grid: GridSpec) -> np.ndarray:
-    """The read-only (len(WEIGHT_ORDERS), N) stack of omega ** n at the
-    cell centers, computed once per grid.
-
-    One row per order, each om ** n with a scalar exponent: the row sums
-    of this C-contiguous stack, times a field, round as the 1-D sum of
-    each row does (an integer-array exponent changes some squares in the
-    last bit)."""
-    om = weight_omega(grid.cell_centers)
-    powers = np.stack([om ** n for n in WEIGHT_ORDERS])
-    powers.setflags(write=False)
-    return powers
-
-
 def record(state: FlowState, grid: GridSpec, params: PhysParams):
     """One DIAGNOSTICS_DTYPE row per state, read by field name: an
     np.void for one state, an (R,) array for a lockstep batch of R."""
@@ -82,8 +53,6 @@ def record(state: FlowState, grid: GridSpec, params: PhysParams):
     u_x = np.diff(state.u, axis=-1) / dx
     w_x = np.diff(state.w, axis=-2) / dx
     b_x = np.diff(state.b, axis=-2) / dx
-    wg2 = sq_norm(w_x)
-    weighted = (_omega_powers(grid) * wg2[..., None, :]).sum(axis=-1) * dx
     entropy = (rho * entropy_density(rho, theta, params.gamma)).sum(
         axis=-1) * dx
     rows = np.empty(rho.shape[:-1], DIAGNOSTICS_DTYPE)
@@ -93,7 +62,7 @@ def record(state: FlowState, grid: GridSpec, params: PhysParams):
             entropy, rho.min(axis=-1), rho.max(axis=-1),
             theta.min(axis=-1), theta.max(axis=-1),
             dissipation_q(u_x, w_x, b_x, params).sum(axis=-1) * dx,
-            wg2.sum(axis=-1) * dx, *weighted.T)):
+            sq_norm(w_x).sum(axis=-1) * dx)):
         rows[name] = value
     return rows[()]
 

@@ -658,7 +658,8 @@ def run(initial: FlowState, grid: GridSpec, params: PhysParams,
     the one-member case of run_lockstep, which raises its RunAborted.
 
     Each snapshot is copied out of batch row 0 as a FlowState through
-    on_snapshot, and the trajectory stacks them once."""
+    on_snapshot, and the trajectory stacks them once. The copies live
+    until then, so run peaks at about twice its trajectory's bytes."""
     states: List[FlowState] = []
 
     def keep(state: FlowState, members: tuple):

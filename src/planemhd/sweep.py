@@ -86,12 +86,20 @@ class SweepPlan:
     bdry: BoundaryData
     time: TimeConfig
     initial: FlowState
-    bl_tol: float = 0.05
+    bl_tol: Optional[float] = None   # None: default_bl_tol(bdry.amplitude)
     interior_deltas: Tuple[float, ...] = DEFAULT_INTERIOR_DELTAS
 
     def __post_init__(self):
+        if self.bl_tol is None:
+            object.__setattr__(self, "bl_tol",
+                               default_bl_tol(self.bdry.amplitude))
         check_settings(self.mu_values, self.bl_tol, self.interior_deltas,
                        self.grid)
+
+
+def default_bl_tol(amplitude: float) -> float:
+    """The bl_tol of a sweep that names none: 5% of the wall amplitude."""
+    return 0.05 * max(abs(amplitude), 1e-12)
 
 
 def check_settings(mu_values: Sequence[float], bl_tol: float,

@@ -2,7 +2,7 @@ import pytest
 
 from planemhd.config import (_SCHEMA, ConfigError, config_hash,
                              parse_config, render_config)
-from planemhd.core import BoundaryData, PhysParams
+from planemhd.core import BoundaryData, PhysParams, make_initial_state
 from planemhd.solver import TimeConfig
 from planemhd.sweep import DEFAULT_INTERIOR_DELTAS, SweepPlan
 
@@ -13,6 +13,15 @@ n_cells = 32
 [time]
 t_end = 0.1
 """
+
+
+def _plan(cfg):
+    """The SweepPlan of cfg, with no bl_tol given."""
+    grid, bdry = cfg.grid_spec(), cfg.boundary_data()
+    return SweepPlan(
+        mu_values=cfg.mu_values(), grid=grid, params=cfg.phys_params(),
+        bdry=bdry, time=cfg.time_config(),
+        initial=make_initial_state(grid, cfg["initial"]["preset"], bdry))
 
 
 class TestParse:
@@ -148,8 +157,11 @@ class TestFactories:
         assert bd.at(1.0)[0] == pytest.approx(0.5)
 
     def test_bl_tol_defaults_to_amplitude_fraction(self):
+        """A SweepPlan that names no bl_tol takes the same 5% of its wall
+        amplitude as the config."""
         cfg = parse_config(MINIMAL + "\n[boundary]\namplitude = 2.0\n")
         assert cfg.bl_tol() == pytest.approx(0.1)
+        assert _plan(cfg).bl_tol == cfg.bl_tol() == 0.1
         cfg2 = parse_config(MINIMAL + "\n[sweep]\nbl_tol = 0.03\n")
         assert cfg2.bl_tol() == 0.03
 
@@ -174,7 +186,7 @@ class TestDefaults:
         assert cfg.interior_deltas() == DEFAULT_INTERIOR_DELTAS
         assert cfg.boundary_data() == BoundaryData(amplitude=1.0)
         assert cfg.boundary_data() == BoundaryData()
-        assert cfg.bl_tol() == SweepPlan.bl_tol
+        assert cfg.bl_tol() == _plan(cfg).bl_tol
 
 
 class TestRoundTrip:

@@ -3,22 +3,12 @@ import pytest
 
 from planemhd.core import (BoundaryData, FlowState, GridSpec, PhysParams,
                            Trajectory, make_initial_state)
-from planemhd.diagnostics import (DIAGNOSTICS_DTYPE, WEIGHT_ORDERS,
+from planemhd.diagnostics import (DIAGNOSTICS_DTYPE,
                                   energy_balance_residual,
                                   entropy_monotonicity, error_norms,
                                   interior_sup_deviation, interior_w_grad,
-                                  record, total_energy, weight_omega)
+                                  record, total_energy)
 from planemhd.solver import TimeConfig, _with_mu, run
-
-
-class TestWeights:
-    def test_omega_values(self):
-        np.testing.assert_allclose(weight_omega([0.0, 0.25, 0.5, 0.75, 1.0]),
-                                   [0.0, 0.25, 0.5, 0.25, 0.0])
-
-    def test_omega_rejects_outside_domain(self):
-        with pytest.raises(ValueError):
-            weight_omega([-0.1])
 
 
 def _state_with_w(grid, w_profile):
@@ -62,15 +52,6 @@ class TestRecord:
         assert rec["w_grad_l2"] == pytest.approx(0.5 * amp ** 2, rel=1e-12)
         assert rec["w_grad_l2"] == pytest.approx(np.pi ** 2 / 2, rel=1e-4)
 
-    def test_weighted_grad_ordering(self):
-        grid = GridSpec(64)
-        state = _state_with_w(grid, np.sin(np.pi * grid.node_positions))
-        rec = record(state, grid, PhysParams())
-        # omega <= 1/2, so higher weight powers shrink the integral
-        assert rec["weighted_w_grad_1"] > rec["weighted_w_grad_2"] \
-            > rec["weighted_w_grad_3"] > rec["weighted_w_grad_4"]
-        assert rec["weighted_w_grad_1"] < rec["w_grad_l2"]
-
     def test_mass_and_extrema(self):
         grid = GridSpec(32)
         state = make_initial_state(grid, "bump")
@@ -86,31 +67,7 @@ class TestRecord:
         assert DIAGNOSTICS_DTYPE.names == (
             "t", "mass", "total_energy", "total_entropy", "min_rho",
             "max_rho", "min_theta", "max_theta", "dissipation_integral",
-            "w_grad_l2", "weighted_w_grad_1", "weighted_w_grad_2",
-            "weighted_w_grad_3", "weighted_w_grad_4")
-
-    @pytest.mark.parametrize("n_cells", [8, 50, 100, 200, 511])
-    def test_weighted_columns_match_per_order_sums(self, n_cells):
-        """Each weighted column equals the 1-D sum of its own order, to
-        the bit. A step in w puts all of w_x in one cell, so each weight
-        om ** n shows on its own; random profiles check the sums.
-        (om ** n with an integer-array exponent differs here in the last
-        bit of some squares.)"""
-        grid = GridSpec(n_cells)
-        x = grid.node_positions
-        om = weight_omega(grid.cell_centers)
-        rng = np.random.default_rng(n_cells)
-        profiles = [(x > c).astype(float) for c in grid.cell_centers]
-        profiles += [rng.normal(size=n_cells + 1) for _ in range(10)]
-        for profile in profiles:
-            state = _state_with_w(grid, profile)
-            rec = record(state, grid, PhysParams())
-            w_x = np.diff(state.w, axis=0) / grid.dx
-            wg2 = (w_x * w_x).sum(axis=-1)
-            for n in WEIGHT_ORDERS:
-                assert rec[f"weighted_w_grad_{n}"] \
-                    == (om ** n * wg2).sum() * grid.dx, n
-
+            "w_grad_l2")
 
     def test_batch_rows_match_single_states(self):
         """record over a batch gives, row by row, the record of each
