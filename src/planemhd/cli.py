@@ -187,7 +187,7 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
                          SNAPSHOT_COLUMNS) as write:
             nodes = ["%.17g" % x for x in grid.node_positions.tolist()]
 
-            def on_snapshot(state, members):
+            def on_snapshot(state):
                 write([["%.17g" % state.t] * len(nodes), nodes,
                        interpolate_to_nodes(state.rho[0]), state.u[0],
                        *state.w[0].T, *state.b[0].T,
@@ -213,8 +213,9 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
 def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
     """Integrate the sweep once and write its report: sweep.csv and
     tau_table.csv (none when there is no envelope) are its tables, and
-    fits.json the rest. If the mu = 0 reference aborts, fits.json holds
-    its failure report and nothing else is written."""
+    fits.json the rest, with the bl_tol used. If the mu = 0 reference
+    aborts, fits.json holds its failure report and nothing else is
+    written."""
     grid, params, bdry, initial, tcfg = _scenario(cfg)
     plan = SweepPlan(mu_values=cfg.mu_values(), grid=grid, params=params,
                      bdry=bdry, time=tcfg, initial=initial,
@@ -226,7 +227,8 @@ def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
         _write_json(outdir / "fits.json", cfg,
                     {"status": "aborted", "failure": exc.report})
         return 1
-    fits = report(result)
+    # the tolerance behind delta* and the statuses, also when defaulted
+    fits = {"bl_tol": plan.bl_tol, **report(result)}
     tag = f"# config_hash={config_hash(cfg)}"
     for name, table in (("sweep.csv", fits.pop("members")),
                         ("tau_table.csv", fits.pop("tau_table"))):
@@ -268,17 +270,15 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    command = {"run": cmd_run, "limit": cmd_run, "sweep": cmd_sweep,
+               "verify": cmd_verify}[args.command]
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+        return command(cfg, outdir)
+    except OSError as exc:      # an output file that cannot be written
         print(f"output error: {exc}", file=sys.stderr)
         return 2
-    if args.command in ("run", "limit"):
-        return cmd_run(cfg, outdir)
-    if args.command == "sweep":
-        return cmd_sweep(cfg, outdir)
-    return cmd_verify(cfg, outdir)
 
 
 if __name__ == "__main__":

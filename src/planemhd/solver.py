@@ -27,7 +27,7 @@ from .eos import dissipation_q, kappa as kappa_eval, sq_norm
 class StepFailure(Exception):
     """A sub-step produced an inadmissible state; the caller may retry.
 
-    member is the row of the failing state in a lockstep batch, 0 for a
+    member is the failing member of a lockstep batch (its row), 0 for a
     single state.
     """
 
@@ -563,29 +563,29 @@ def run_lockstep(initial: FlowState, grid: GridSpec, params: PhysParams,
                  bdry: BoundaryData, cfg: TimeConfig,
                  mu_values: Sequence[float],
                  forcing: Optional[ForcingSpec] = None,
-                 on_snapshot: Optional[Callable[[FlowState, tuple],
-                                                None]] = None
+                 on_snapshot: Optional[Callable[[FlowState], None]] = None
                  ) -> List[Union[np.ndarray, RunAborted]]:
     """Integrate one member per mu value from initial, one state of grid
     at t = 0, all on one time grid, to t_end.
 
-    The members are the rows of one batch state, and each step is one
-    step() over the batch. Its dt is the smallest CFL step over the
-    live members, at most dt_max. A StepFailure in any member halves
-    dt for all; a member that still fails at dt_min, or whose CFL step
-    falls below dt_min, leaves with its RunAborted. If that member is
-    member 0, the RunAborted is raised at once, chained from the
-    StepFailure: every caller compares with or reports member 0, so the
-    others are not worth finishing. A member >= 1 leaves alone, and the
-    others redo the step without it. Snapshots are taken every
-    snapshot_stride accepted steps plus the final state; the
-    diagnostics table has one row for the initial state and one for
-    every accepted step.
+    The members are the rows of one batch state, member m in row m for
+    the whole run, and each step is one step() over the batch. Its dt is
+    the smallest CFL step over the rows, at most dt_max. A StepFailure
+    in any member halves dt for all; a member that still fails at
+    dt_min, or whose CFL step falls below dt_min, leaves with its
+    RunAborted. If that member is member 0, the RunAborted is raised at
+    once, chained from the StepFailure: every caller compares with or
+    reports member 0, so the others are not worth finishing. A member
+    >= 1 leaves alone: its row becomes a copy of row 0, with member 0's
+    mu, and steps as member 0 does from then on, so it can fail only
+    where member 0 fails. Snapshots are taken every snapshot_stride
+    accepted steps plus the final state; the diagnostics table has one
+    row for the initial state and one for every accepted step.
 
-    No snapshot is kept. on_snapshot(state, members), if given, is
-    called with the batch state at t = 0 and at every snapshot; members
-    names the member in each row of state. A caller that wants a
-    member's snapshots copies them out of its row there, as run does.
+    No snapshot is kept. on_snapshot(state), if given, is called with
+    the batch state at t = 0 and at every snapshot. A caller that wants
+    a member's snapshots copies them out of its row there, as run does;
+    the row of a member that has left holds member 0's fields.
 
     Returns per member its diagnostics table, or, for a member >= 1,
     the RunAborted that ended it.
@@ -599,18 +599,16 @@ def run_lockstep(initial: FlowState, grid: GridSpec, params: PhysParams,
         raise ValueError(f"initial must be one state of {grid.n_cells} "
                          f"cells, not rho of shape {initial.rho.shape}")
     t_end = cfg.t_end
-    members = tuple(range(len(mu)))     # the member in each batch row
     state = FlowState(t=initial.t, **{
         name: np.broadcast_to(getattr(initial, name),
                               (len(mu),) + getattr(initial, name).shape)
         for name in STATE_FIELDS})
     batch = _with_mu(params, mu)
     outcome: list = [None] * len(mu)
-    # per accepted step, the members in the batch rows and their
-    # diagnostics rows; each member's table is built from them at the end
-    records = [(members, _diag.record(state, grid, batch))]
+    # per accepted step the (R,) diagnostics rows, one per member
+    tables = [_diag.record(state, grid, batch)]
     if on_snapshot is not None:
-        on_snapshot(state, members)
+        on_snapshot(state)
     k = 0
     eps = 1e-12 * max(t_end, 1.0)
     while state.t < t_end - eps:
@@ -625,29 +623,29 @@ def run_lockstep(initial: FlowState, grid: GridSpec, params: PhysParams,
                     if dt < cfg.dt_min:
                         raise
         except StepFailure as exc:
-            row, m = exc.member, members[exc.member]
+            m = exc.member
             aborted = RunAborted({"t": state.t, "reason": exc.reason,
                                   "field": exc.field, "index": exc.index})
             if m == 0:
                 raise aborted from exc
             aborted.__cause__ = exc
             outcome[m] = aborted
-            members = members[:row] + members[row + 1:]
-            keep = np.arange(len(members) + 1) != row
+            rows = np.arange(len(mu))
+            rows[m] = 0
             state = FlowState(t=state.t, **{
-                name: getattr(state, name)[keep] for name in STATE_FIELDS})
-            batch = _with_mu(params, batch.mu[keep])
+                name: getattr(state, name)[rows] for name in STATE_FIELDS})
+            batch = _with_mu(params, batch.mu[rows])
             continue
         state = new_state
         k += 1
-        records.append((members, _diag.record(state, grid, batch)))
+        tables.append(_diag.record(state, grid, batch))
         if (on_snapshot is not None
                 and (k % cfg.snapshot_stride == 0 or state.t >= t_end - eps)):
-            on_snapshot(state, members)
-    for m in members:
-        outcome[m] = np.array([table[live.index(m)]
-                               for live, table in records],
-                              _diag.DIAGNOSTICS_DTYPE)
+            on_snapshot(state)
+    for m, out in enumerate(outcome):
+        if out is None:
+            outcome[m] = np.array([table[m] for table in tables],
+                                  _diag.DIAGNOSTICS_DTYPE)
     return outcome
 
 
@@ -662,7 +660,7 @@ def run(initial: FlowState, grid: GridSpec, params: PhysParams,
     until then, so run peaks at about twice its trajectory's bytes."""
     states: List[FlowState] = []
 
-    def keep(state: FlowState, members: tuple):
+    def keep(state: FlowState):
         states.append(FlowState(t=state.t, **{
             name: getattr(state, name)[0] for name in STATE_FIELDS}))
 

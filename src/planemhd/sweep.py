@@ -229,50 +229,48 @@ class _Comparison:
     is kept.
 
     It holds the snapshot times and, per row, the running max of |w|.
-    Per member it also holds the per-snapshot sq_errors, the running
+    Per member row it also holds the per-snapshot sq_errors, the running
     max of the deviation (the deviation_profile) and the running max of
-    the interior w_x norm per delta. These are the quantities
-    error_norms, bl_thickness, interior_w_grad and max |w| take from
-    whole trajectories, reduced the same way, so the results are the
-    same to the bit. An aborted member's entries are never read.
+    the interior w_x norm per delta; row 0, the reference's, stays 0.
+    These are the quantities error_norms, bl_thickness, interior_w_grad
+    and max |w| take from whole trajectories, reduced the same way, so
+    the results are the same to the bit. The row of an aborted member
+    follows the reference, and its entries are never read.
     """
 
     def __init__(self, plan: SweepPlan):
         n = len(plan.mu_values) + 1
         self.grid = grid = plan.grid
         self.deltas = plan.interior_deltas
-        self.state_sq: List[list] = [[] for _ in range(n)]
-        self.grad_sq: List[list] = [[] for _ in range(n)]
+        self.state_sq: List[np.ndarray] = []
+        self.grad_sq: List[np.ndarray] = []
         self.cell = np.zeros((n, grid.n_cells))
         self.node = np.zeros((n, grid.n_cells + 1))
         self.w_sq = np.zeros((n, len(self.deltas)))
         self.max_abs_w = np.zeros(n)
         self.times: List[float] = []
 
-    def __call__(self, state: FlowState, members: Sequence[int]):
+    def __call__(self, state: FlowState):
         self.times.append(state.t)
-        alive = list(members)
-        self.max_abs_w[alive] = np.maximum(self.max_abs_w[alive],
-                                           np.abs(state.w).max(axis=(-2, -1)))
+        np.maximum(self.max_abs_w, np.abs(state.w).max(axis=(-2, -1)),
+                   out=self.max_abs_w)
         ref = SimpleNamespace(**{name: getattr(state, name)[0]
                                  for name in STATE_FIELDS})
         runs = SimpleNamespace(**{name: getattr(state, name)[1:]
                                   for name in STATE_FIELDS})
-        rows = list(members[1:])
         state_sq, grad_sq = sq_errors(runs, ref, self.grid)
-        for m, s, g in zip(rows, state_sq, grad_sq):
-            self.state_sq[m].append(s)
-            self.grad_sq[m].append(g)
+        self.state_sq.append(state_sq)
+        self.grad_sq.append(grad_sq)
         cell, node = deviation(runs, ref)
-        self.cell[rows] = np.maximum(self.cell[rows], cell)
-        self.node[rows] = np.maximum(self.node[rows], node)
+        np.maximum(self.cell[1:], cell, out=self.cell[1:])
+        np.maximum(self.node[1:], node, out=self.node[1:])
         w_sq = np.stack([interior_w_sq(runs.w, d, self.grid)
                          for d in self.deltas], axis=-1)
-        self.w_sq[rows] = np.maximum(self.w_sq[rows], w_sq)
+        np.maximum(self.w_sq[1:], w_sq, out=self.w_sq[1:])
 
     def errors(self, m: int) -> ErrorNorms:
-        return norms_over_time(np.array(self.state_sq[m]),
-                               np.array(self.grad_sq[m]),
+        return norms_over_time(np.array(self.state_sq)[:, m - 1],
+                               np.array(self.grad_sq)[:, m - 1],
                                np.array(self.times))
 
     def summary(self, m: int, diagnostics: np.ndarray) -> RunSummary:

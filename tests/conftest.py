@@ -23,15 +23,16 @@ def lockstep_trajectories(*args, on_snapshot=None, **kwargs):
     out of its batch row through on_snapshot: per member its Trajectory,
     or the RunAborted that ended it. A given on_snapshot is called
     first, with the batch state."""
-    states = {}
+    states = []
 
-    def collect(state, members):
+    def collect(state):
         if on_snapshot is not None:
-            on_snapshot(state, members)
-        for row, m in enumerate(members):
-            states.setdefault(m, []).append(FlowState(t=state.t, **{
-                name: getattr(state, name)[row] for name in STATE_FIELDS}))
+            on_snapshot(state)
+        states.append([FlowState(t=state.t, **{
+            name: getattr(state, name)[m] for name in STATE_FIELDS})
+            for m in range(len(state.rho))])
 
     outs = run_lockstep(*args, on_snapshot=collect, **kwargs)
-    return [out if isinstance(out, RunAborted) else Trajectory(states[m], out)
+    return [out if isinstance(out, RunAborted)
+            else Trajectory([rows[m] for rows in states], out)
             for m, out in enumerate(outs)]

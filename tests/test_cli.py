@@ -102,6 +102,19 @@ class TestArguments:
         assert capsys.readouterr().err.startswith("output error: ")
         assert out.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("taken", ["summary.json", "snapshots.csv"])
+    def test_unwritable_output_file(self, tmp_path, capsys, taken):
+        """An output file that cannot be written (a directory holds its
+        name) is reported as an output error with exit 2, not as an
+        aborted run or a traceback."""
+        cfg = _write(tmp_path, RUN_CFG)
+        out = tmp_path / "out"
+        (out / taken).mkdir(parents=True)
+        rc = main(["run", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("output error: ")
+        assert (out / taken).is_dir()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--mu", "-0.5", "--mu: physics.mu must be nonnegative"),
         ("--mu", "nan", "--mu: physics.mu must be finite"),
@@ -268,6 +281,16 @@ class TestSweepCommand:
         fits = json.loads((out / "fits.json").read_text())
         for name in ("alpha", "envelope"):
             assert fits[name] is not None and fits[f"{name}_reason"] is None
+
+    def test_fits_record_defaulted_bl_tol(self, tmp_path):
+        """fits.json records the bl_tol of the sweep, also where the
+        config names none and it is 5% of the wall amplitude."""
+        text = SWEEP_CFG.replace("amplitude = 0.5", "amplitude = 2.0")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", _write(tmp_path, text),
+                     "--out", str(out)]) == 0
+        fits = json.loads((out / "fits.json").read_text())
+        assert fits["bl_tol"] == 0.1
 
     def test_failed_run_rows(self, tmp_path, monkeypatch):
         """A run that aborted writes nan values and the status failed."""
@@ -494,8 +517,8 @@ def _fail_after(n_snapshots):
     def failing(*args, on_snapshot, **kwargs):
         seen = []
 
-        def hook(state, members):
-            on_snapshot(state, members)
+        def hook(state):
+            on_snapshot(state)
             seen.append(state.t)
             if len(seen) == n_snapshots:
                 raise RuntimeError("hook failed")

@@ -641,7 +641,7 @@ class TestLockstep:
     def test_nonfinite_member_leaves_alone(self, monkeypatch):
         """A member whose w turns to nan mid-run leaves with its own
         RunAborted, and the others are bit for bit what they are
-        without it."""
+        when it does not fail."""
         initial, grid, params, bdry, cfg = _lockstep_scenario()
         clean = lockstep_trajectories(initial, grid, params, bdry, cfg,
                                       MEMBERS)
@@ -684,7 +684,8 @@ class TestLockstep:
 
     def test_member_below_dt_min_leaves(self, monkeypatch):
         """A member that fails down to dt_min leaves with the report of
-        its last failure; the others redo the step without it."""
+        its last failure; the others redo the step and are bit for bit
+        their solo runs."""
         initial, grid, params, bdry, cfg = _lockstep_scenario()
         real_step = solver.step
 
@@ -713,18 +714,47 @@ class TestLockstep:
         with pytest.raises(ValueError):
             run_lockstep(*_lockstep_scenario(), (np.inf, 1e-3))
 
+    def test_two_members_leave(self, monkeypatch):
+        """Two members that fail down to dt_min at different times each
+        leave with the report of their own last failure, and the others
+        are bit for bit their solo runs."""
+        initial, grid, params, bdry, cfg = _lockstep_scenario()
+        real_step = solver.step
+        fail_from = {1e-2: 0.01, 1e-4: 0.02}
+
+        def step_failing_mu(state, grid, dt, params, *args):
+            mu = np.ravel(params.mu)
+            for bad, t in fail_from.items():
+                if state.t >= t and bad in mu:
+                    raise StepFailure("test rejection", "u", 3, state.t,
+                                      int(np.flatnonzero(mu == bad)[0]))
+            return real_step(state, grid, dt, params, *args)
+
+        monkeypatch.setattr(solver, "step", step_failing_mu)
+        outs = lockstep_trajectories(initial, grid, params, bdry, cfg,
+                                     MEMBERS)
+        for m, t in ((1, 0.01), (3, 0.02)):
+            assert isinstance(outs[m], RunAborted)
+            assert outs[m].report == {"t": pytest.approx(t),
+                                      "reason": "test rejection",
+                                      "field": "u", "index": 3}
+        monkeypatch.undo()
+        for m in (0, 2):
+            _assert_same_run(outs[m], run(initial, grid, replace(
+                params, mu=MEMBERS[m]), bdry, cfg))
+
     def test_snapshot_hook_sees_each_snapshot(self, monkeypatch):
         """on_snapshot gets the batch state at t = 0 and at every
-        snapshot, with the members still running in its rows."""
+        snapshot, member m in row m throughout: the row of a member that
+        has left holds member 0's fields."""
         initial, grid, params, bdry, cfg = _lockstep_scenario()
         clean = lockstep_trajectories(initial, grid, params, bdry, cfg,
                                       MEMBERS)
         seen = []
 
-        def hook(state, members):
-            seen.append((state.t, members,
-                         {name: getattr(state, name).copy()
-                          for name in STATE_FIELDS}))
+        def hook(state):
+            seen.append((state.t, {name: getattr(state, name).copy()
+                                   for name in STATE_FIELDS}))
 
         real_step = solver.step
 
@@ -740,12 +770,14 @@ class TestLockstep:
                                      MEMBERS, on_snapshot=hook)
         assert isinstance(outs[2], RunAborted)
         left_at = outs[2].report["t"]
-        assert [t for t, _, _ in seen] == list(outs[0].snapshot_times)
-        for s, (t, members, fields) in enumerate(seen):
-            assert members == ((0, 1, 2, 3) if t <= left_at else (0, 1, 3))
-            for row, m in enumerate(members):
-                for name in STATE_FIELDS:
-                    want = (clean if m == 2 else outs)[m]
+        assert [t for t, _ in seen] == list(outs[0].snapshot_times)
+        assert seen[0][0] <= left_at < seen[-1][0]
+        for s, (t, fields) in enumerate(seen):
+            rows = [outs[0], outs[1], clean[2] if t <= left_at else outs[0],
+                    outs[3]]
+            for name in STATE_FIELDS:
+                assert len(fields[name]) == len(MEMBERS), name
+                for row, want in enumerate(rows):
                     assert np.array_equal(fields[name][row],
                                           getattr(want, name)[s]), name
 
