@@ -157,7 +157,7 @@ def _load_config(args) -> RunConfig:
              ("grid", "n_cells", args.n_cells, "--n-cells"),
              ("time", "t_end", args.t_end, "--t-end")]
     flags = [f for f in flags if f[2] is not None]
-    text = Path(args.config).read_text()
+    text = Path(args.config).read_text(encoding="utf-8")
     cfg = parse_config(text, flags)
     if args.command == "limit":
         # after the flags are checked, so that a bad --mu is still refused
@@ -179,7 +179,7 @@ def _scenario(cfg: RunConfig):
     return grid, params, bdry, initial, cfg.time_config()
 
 
-def cmd_run(cfg: RunConfig, outdir: Path) -> int:
+def cmd_run(cfg: RunConfig, outdir: Path, written: list) -> int:
     grid, params, bdry, initial, tcfg = _scenario(cfg)
     tag = f"# config_hash={config_hash(cfg)}"
     try:
@@ -198,8 +198,10 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
     except RunAborted as exc:
         code, payload = 1, {"status": "aborted", "failure": exc.report}
     else:
+        written.append(outdir / "snapshots.csv")
         _write_csv(outdir / "diagnostics.csv", tag,
                    {name: diag[name] for name in diag.dtype.names})
+        written.append(outdir / "diagnostics.csv")
         code, payload = 0, {
             "status": "ok", "t_final": float(diag["t"][-1]),
             "n_steps": len(diag) - 1,
@@ -210,7 +212,7 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
     return code
 
 
-def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
+def cmd_sweep(cfg: RunConfig, outdir: Path, written: list) -> int:
     """Integrate the sweep once and write its report: sweep.csv and
     tau_table.csv (none when there is no envelope) are its tables, and
     fits.json the rest, with the bl_tol used. If the mu = 0 reference
@@ -238,11 +240,12 @@ def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
                 column: values if column == "status" else
                 np.array(values, dtype=float)
                 for column, values in table.items()})
+            written.append(outdir / name)
     _write_json(outdir / "fits.json", cfg, fits)
     return 0 if all(f is None for f in fits["failures"]) else 1
 
 
-def cmd_verify(cfg: RunConfig, outdir: Path) -> int:
+def cmd_verify(cfg: RunConfig, outdir: Path, written: list) -> int:
     report = verify_suites.run_all()
     all_passed = all(c["passed"] for c in report.values())
     _write_json(outdir / "verify_report.json", cfg,
@@ -267,16 +270,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     command = {"run": cmd_run, "limit": cmd_run, "sweep": cmd_sweep,
                "verify": cmd_verify}[args.command]
     outdir = Path(args.out)
+    written = []    # the files the command has put in outdir, in order
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        return command(cfg, outdir)
+        return command(cfg, outdir, written)
     except OSError as exc:      # an output file that cannot be written
+        for path in written:    # leave none of the command's files
+            path.unlink(missing_ok=True)
         print(f"output error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,7 +34,8 @@ def total_energy(fields: Union[FlowState, Trajectory], grid: GridSpec,
                  params: PhysParams):
     """Midpoint-rule integral of the total energy density.
 
-    A float for one state, an (S,) array for a trajectory's snapshots.
+    A float for one state, an (S,) array for a trajectory's snapshots,
+    and an (R,) array for a lockstep batch of R states (as record gets).
     """
     u, w, b = fields.u, fields.w, fields.b
     u_c = 0.5 * (u[..., :-1] + u[..., 1:])
@@ -146,15 +147,13 @@ def sq_errors(a, b, grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def norms_over_time(state_sq: np.ndarray, grad_sq: np.ndarray,
-                    times: np.ndarray) -> ErrorNorms:
-    """ErrorNorms from the per-snapshot sq_errors at the snapshot times:
-    the max of the state norm, the trapezoid integral of the gradient
-    norm."""
-    state_error = float(np.sqrt(np.max(state_sq)))
-    gradient_error = float(np.sqrt(np.trapezoid(grad_sq, times)))
-    return ErrorNorms(state_error=state_error,
-                      gradient_error=gradient_error,
-                      combined=state_error + gradient_error)
+                    times: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The ErrorNorms fields over any leading axes of the per-snapshot
+    sq_errors (snapshots last): the max of the state norm, the trapezoid
+    integral of the gradient norm over times, and their sum."""
+    state_error = np.sqrt(np.max(state_sq, axis=-1))
+    gradient_error = np.sqrt(np.trapezoid(grad_sq, times, axis=-1))
+    return state_error, gradient_error, state_error + gradient_error
 
 
 def error_norms(traj: Trajectory, reference: Trajectory,
@@ -166,8 +165,8 @@ def error_norms(traj: Trajectory, reference: Trajectory,
     theta_x over time.
     """
     _check_matched(traj, reference)
-    return norms_over_time(*sq_errors(traj, reference, grid),
-                           traj.snapshot_times)
+    return ErrorNorms(*map(float, norms_over_time(
+        *sq_errors(traj, reference, grid), traj.snapshot_times)))
 
 
 def deviation(a, b) -> Tuple[np.ndarray, np.ndarray]:
@@ -193,22 +192,28 @@ def deviation_profile(traj: Trajectory, reference: Trajectory
     return cell.max(axis=0), node.max(axis=0)
 
 
-def interior(points: np.ndarray, delta: float) -> np.ndarray:
-    """Mask of the points in (delta, 1-delta), for delta in (0, 1/2)."""
+def wall_cells(grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """Whole cells from each cell and each node to the nearer wall."""
+    cell, node = np.arange(grid.n_cells), np.arange(grid.n_cells + 1)
+    return np.minimum(cell, cell[::-1]), np.minimum(node, node[::-1])
+
+
+def interior(grid: GridSpec, delta: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Masks of the cell centres and nodes in (delta, 1-delta): a point m
+    wall_cells from the wall is in when (m + 1/2)*dx (a cell centre) or
+    m*dx (a node) exceeds delta, so it and its mirror are in together."""
     if not 0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
-    return (points > delta) & (points < 1.0 - delta)
+    cell, node = wall_cells(grid)
+    return (cell + 0.5) * grid.dx > delta, node * grid.dx > delta
 
 
 def interior_sup(profile: Tuple[np.ndarray, np.ndarray], delta: float,
                  grid: GridSpec) -> float:
     """Sup of a deviation_profile over the grid points in (delta, 1-delta)."""
-    mc = interior(grid.cell_centers, delta)
-    mn = interior(grid.node_positions, delta)
-    if not mc.any() and not mn.any():
-        raise ValueError(
-            f"no grid point inside ({delta}, {1 - delta}); "
-            f"minimum usable delta spacing is dx = {grid.dx}")
+    mc, mn = interior(grid, delta)
+    if not mc.any() and not mn.any():   # delta within rounding of 1/2
+        raise ValueError(f"no grid point inside ({delta}, {1 - delta})")
     cell, node = profile
     return float(np.concatenate((cell[mc], node[mn])).max())
 
@@ -224,7 +229,7 @@ def interior_w_sq(w: np.ndarray, delta: float,
                   grid: GridSpec) -> np.ndarray:
     """Squared L2 norm of w_x over (delta, 1-delta), over any leading
     axes of the node field w (..., N+1, 2)."""
-    mask = interior(grid.cell_centers, delta)
+    mask = interior(grid, delta)[0]
     if not mask.any():
         raise ValueError(
             f"no cell centre inside ({delta}, {1 - delta}), where w_x "

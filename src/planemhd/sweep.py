@@ -14,8 +14,8 @@ import numpy as np
 from .core import (STATE_FIELDS, BoundaryData, FlowState, GridSpec,
                    PhysParams, Trajectory)
 from .diagnostics import (ErrorNorms, deviation, deviation_profile,
-                          interior, interior_sup, interior_w_sq,
-                          norms_over_time, sq_errors)
+                          interior, interior_w_sq, norms_over_time,
+                          sq_errors, wall_cells)
 from .solver import RunAborted, TimeConfig, run_lockstep
 
 DEFAULT_INTERIOR_DELTAS = (0.05, 0.1, 0.2)
@@ -53,27 +53,29 @@ class BLThickness(NamedTuple):
 
 def bl_thickness(traj: Trajectory, reference: Trajectory, tol: float,
                  grid: GridSpec) -> BLThickness:
-    """Smallest grid multiple of dx (up to 1/4) whose interior excludes
-    all deviations above tol; saturates at 1/4 if none qualifies, and
-    is 0 (no layer) if no deviation anywhere exceeds tol."""
+    """Smallest grid multiple of dx (up to 1/4) whose diagnostics.interior
+    excludes all deviations above tol; saturates at 1/4 if none
+    qualifies, and is 0 (no layer) if no deviation exceeds tol."""
     if not tol > 0:                 # NaN fails too
         raise ValueError("tol must be positive")
-    return _thickness(deviation_profile(traj, reference), tol, grid)
+    bl = _thickness(deviation_profile(traj, reference), tol, grid)
+    return BLThickness(delta=float(bl[0]), saturated=bool(bl[1]))
 
 
 def _thickness(profile: Tuple[np.ndarray, np.ndarray], tol: float,
-               grid: GridSpec) -> BLThickness:
-    """bl_thickness from the time-max deviation profile: each candidate
-    interior is a mask over it."""
-    if max(profile[0].max(), profile[1].max()) <= tol:
-        return BLThickness(delta=0.0, saturated=False)
-    k = 1
-    while k * grid.dx <= BL_DELTA_CEILING + 1e-12:
-        delta = k * grid.dx
-        if interior_sup(profile, delta, grid) <= tol:
-            return BLThickness(delta=delta, saturated=False)
-        k += 1
-    return BLThickness(delta=BL_DELTA_CEILING, saturated=True)
+               grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """bl_thickness per leading index of the profiles, cell (..., N) and
+    node (..., N+1). (k dx, 1 - k dx) leaves out a node m wall_cells from
+    the wall when m <= k and a cell when m + 1 <= k, so k is the largest
+    such bound over the points above tol (a NaN is), and at least 1."""
+    cell_m, node_m = wall_cells(grid)
+    above_cell, above_node = ~(profile[0] <= tol), ~(profile[1] <= tol)
+    k = np.maximum(np.where(above_node, node_m, 1).max(axis=-1),
+                   np.where(above_cell, cell_m + 1, 1).max(axis=-1))
+    saturated = k > BL_DELTA_CEILING * grid.n_cells
+    delta = np.where(saturated, BL_DELTA_CEILING, k * grid.dx)
+    layer = above_cell.any(axis=-1) | above_node.any(axis=-1)
+    return np.where(layer, delta, 0.0), saturated
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ def check_settings(mu_values: Sequence[float], bl_tol: float,
         raise ValueError("interior_deltas must lie in (0, 1/2)")
     if len(set(interior_deltas)) < len(interior_deltas):
         raise ValueError("interior_deltas must be distinct")
-    if not all(interior(grid.cell_centers, d).any() for d in interior_deltas):
+    if not all(interior(grid, d)[0].any() for d in interior_deltas):
         raise ValueError(f"interior_deltas must each keep a cell centre of "
                          f"the {grid.n_cells}-cell grid inside "
                          "(delta, 1 - delta)")
@@ -212,14 +214,13 @@ def _left_out(need: str, kept: Sequence[bool], status: Sequence[str]) -> str:
     return f"{need}; kept {sum(kept)}, left out {causes or 'none'}"
 
 
-def _summarize(diagnostics: np.ndarray, max_abs_w: float) -> RunSummary:
-    d = diagnostics
+def _summarize(d: np.ndarray, max_abs_w: float) -> RunSummary:
     return RunSummary(
         max_theta=float(d["max_theta"].max()),
         min_theta=float(d["min_theta"].min()),
         max_rho=float(d["max_rho"].max()),
         min_rho=float(d["min_rho"].min()),
-        max_abs_w=max_abs_w,
+        max_abs_w=float(max_abs_w),
         max_w_grad_l2=float(d["w_grad_l2"].max()))
 
 
@@ -235,7 +236,7 @@ class _Comparison:
     These are the quantities error_norms, bl_thickness, interior_w_grad
     and max |w| take from whole trajectories, reduced the same way, so
     the results are the same to the bit. The row of an aborted member
-    follows the reference, and its entries are never read.
+    follows the reference, and run_sweep reads its entries as None.
     """
 
     def __init__(self, plan: SweepPlan):
@@ -268,17 +269,6 @@ class _Comparison:
                          for d in self.deltas], axis=-1)
         np.maximum(self.w_sq[1:], w_sq, out=self.w_sq[1:])
 
-    def errors(self, m: int) -> ErrorNorms:
-        return norms_over_time(np.array(self.state_sq)[:, m - 1],
-                               np.array(self.grad_sq)[:, m - 1],
-                               np.array(self.times))
-
-    def summary(self, m: int, diagnostics: np.ndarray) -> RunSummary:
-        return _summarize(diagnostics, float(self.max_abs_w[m]))
-
-    def thickness(self, m: int, tol: float) -> BLThickness:
-        return _thickness((self.cell[m], self.node[m]), tol, self.grid)
-
 
 def run_sweep(plan: SweepPlan) -> SweepResult:
     """Run the mu = 0 reference and every mu value in lockstep, compare
@@ -291,29 +281,27 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
                                     plan.bdry, plan.time,
                                     (0.0,) + tuple(plan.mu_values),
                                     on_snapshot=compare)
-    rows = []
-    for m, diags in enumerate(runs, start=1):
-        bl = (None if isinstance(diags, RunAborted)
-              else compare.thickness(m, plan.bl_tol))
-        member_status = ("failed" if bl is None else "saturated"
-                         if bl.saturated else "ok" if bl.delta
-                         else "no-layer")
-        if bl is None:
-            rows.append((None, None, member_status, None, diags.report,
-                         [None] * len(plan.interior_deltas)))
-        else:
-            rows.append((compare.errors(m), bl.delta, member_status,
-                         compare.summary(m, diags), None,
-                         compare.w_sq[m].tolist()))
-    errors, deltas, status, summaries, failures, w_sq = map(list, zip(*rows))
-    return SweepResult(mu_values=tuple(plan.mu_values), errors=errors,
-                       deltas=deltas, status=status, summaries=summaries,
-                       interior_w_grads=dict(zip(plan.interior_deltas,
-                                                 map(list, zip(*w_sq)))),
-                       failures=failures, reference=ReferenceRun(
-                           snapshot_times=np.array(compare.times),
-                           diagnostics=reference,
-                           summary=compare.summary(0, reference)))
+    failed = np.array([isinstance(r, RunAborted) for r in runs])
+
+    def column(values) -> list:     # None for a failed member
+        return np.where(failed, None, values).tolist()
+
+    norms = norms_over_time(np.stack(compare.state_sq, axis=-1),
+                            np.stack(compare.grad_sq, axis=-1), compare.times)
+    deltas, saturated = _thickness((compare.cell[1:], compare.node[1:]),
+                                   plan.bl_tol, plan.grid)
+    return SweepResult(
+        mu_values=tuple(plan.mu_values), deltas=column(deltas),
+        errors=column(list(map(ErrorNorms, *(e.tolist() for e in norms)))),
+        status=np.select([failed, saturated, deltas > 0],
+                         ["failed", "saturated", "ok"], "no-layer").tolist(),
+        summaries=[None if f else _summarize(r, w)
+                   for f, r, w in zip(failed, runs, compare.max_abs_w[1:])],
+        interior_w_grads=dict(zip(plan.interior_deltas,
+                                  map(column, compare.w_sq[1:].T))),
+        failures=[r.report if f else None for f, r in zip(failed, runs)],
+        reference=ReferenceRun(np.array(compare.times), reference,
+                               _summarize(reference, compare.max_abs_w[0])))
 
 
 TAU_COLUMNS = ("mu", "delta", "tau", "w_grad_interior")

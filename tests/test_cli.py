@@ -102,18 +102,42 @@ class TestArguments:
         assert capsys.readouterr().err.startswith("output error: ")
         assert out.read_text() == "not a directory\n"
 
-    @pytest.mark.parametrize("taken", ["summary.json", "snapshots.csv"])
-    def test_unwritable_output_file(self, tmp_path, capsys, taken):
-        """An output file that cannot be written (a directory holds its
-        name) is reported as an output error with exit 2, not as an
-        aborted run or a traceback."""
-        cfg = _write(tmp_path, RUN_CFG)
+    @staticmethod
+    def _taken_output(tmp_path, capsys, command, cfg_text, taken):
+        cfg = _write(tmp_path, cfg_text)
         out = tmp_path / "out"
         (out / taken).mkdir(parents=True)
-        rc = main(["run", "--config", cfg, "--out", str(out)])
+        rc = main([command, "--config", cfg, "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("output error: ")
         assert (out / taken).is_dir()
+        assert [p.name for p in out.iterdir()] == [taken]
+
+    @pytest.mark.parametrize("taken", ["summary.json", "snapshots.csv",
+                                       "diagnostics.csv"])
+    def test_unwritable_output_file(self, tmp_path, capsys, taken):
+        """An output file that cannot be written (a directory holds its
+        name) is reported as an output error with exit 2, not as an
+        aborted run or a traceback, and the command leaves none of the
+        files it wrote before it."""
+        self._taken_output(tmp_path, capsys, "run", RUN_CFG, taken)
+
+    @pytest.mark.parametrize("taken", ["fits.json", "tau_table.csv"])
+    def test_unwritable_sweep_output(self, tmp_path, capsys, taken):
+        """As for run: a sweep whose fits.json or tau_table.csv cannot be
+        written leaves no sweep.csv."""
+        self._taken_output(tmp_path, capsys, "sweep", SWEEP_CFG, taken)
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        """A config file that is not UTF-8 text is a config error, exit
+        2, not a traceback and exit 1, the aborted-run code."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"[grid]\nn_cells = 16\n\xff\xfe\n")
+        rc = main(["run", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--mu", "-0.5", "--mu: physics.mu must be nonnegative"),

@@ -6,9 +6,10 @@ from planemhd.core import (BoundaryData, FlowState, GridSpec, PhysParams,
 from planemhd.diagnostics import (DIAGNOSTICS_DTYPE,
                                   energy_balance_residual,
                                   entropy_monotonicity, error_norms,
-                                  interior_sup_deviation, interior_w_grad,
-                                  record, total_energy)
+                                  interior, interior_sup_deviation,
+                                  interior_w_grad, record, total_energy)
 from planemhd.solver import TimeConfig, _with_mu, run
+from planemhd.sweep import DEFAULT_INTERIOR_DELTAS
 
 
 def _state_with_w(grid, w_profile):
@@ -299,3 +300,39 @@ class TestInteriorMeasures:
             for s in states)
         assert interior_w_grad(Trajectory(states, ()), delta, grid) \
             == expected
+
+
+class TestInteriorMirror:
+    """A point and its mirror are inside (delta, 1 - delta) together:
+    the masks choose each point by its whole-cell distance to the nearer
+    wall, where float masks x > delta and x < 1 - delta let 1 - delta
+    round (at N = 384, node 383 sat inside (1/384, 1 - 1/384))."""
+
+    @staticmethod
+    def _assert_mirrored(grid, delta):
+        cell, node = interior(grid, delta)
+        assert (cell == cell[::-1]).all() and (node == node[::-1]).all(), (
+            grid.n_cells, delta)
+
+    def test_grid_multiples(self):
+        """delta = k dx, for the first cells and the 1/4 ceiling of
+        delta*, on every grid of 8 to 2048 cells."""
+        for n in range(8, 2049):
+            grid = GridSpec(n)
+            for k in (*range(1, 9), n // 4):
+                if 2 * k < n:       # delta < 1/2
+                    self._assert_mirrored(grid, k * grid.dx)
+
+    def test_default_interior_deltas(self):
+        for n in range(8, 2049):
+            grid = GridSpec(n)
+            for delta in DEFAULT_INTERIOR_DELTAS:
+                self._assert_mirrored(grid, delta)
+
+    def test_wall_distance_rule(self):
+        """A node m cells from the nearer wall is inside when m dx >
+        delta, a cell centre when (m + 1/2) dx > delta."""
+        grid = GridSpec(384)
+        cell, node = interior(grid, grid.dx)
+        assert not node[[0, 1, 383, 384]].any() and node[2:383].all()
+        assert not cell[[0, 383]].any() and cell[1:383].all()

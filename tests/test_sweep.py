@@ -17,8 +17,9 @@ from planemhd import solver
 from planemhd.solver import RunAborted, StepFailure, TimeConfig, run
 from planemhd.sweep import (BL_DELTA_CEILING, BLThickness, ReferenceRun,
                             SweepPlan, SweepResult, _envelope, _summarize,
-                            _upper_hull, bl_thickness, fit_power_law,
-                            report, run_sweep, thickness_scaling_report)
+                            _thickness, _upper_hull, bl_thickness,
+                            fit_power_law, report, run_sweep,
+                            thickness_scaling_report)
 
 
 class TestFitPowerLaw:
@@ -216,6 +217,57 @@ class TestBlThickness:
                 break
             k += 1
         assert bl_thickness(traj, ref, tol, grid) == expected
+
+
+def _point_deviation(grid, nodes=(), cells=()):
+    """A one-snapshot trajectory and its rest reference that differ by 1
+    at the given nodes (through w) and cells (through rho)."""
+    state = make_initial_state(grid, "transverse-rest")
+    w, rho = state.w.copy(), state.rho.copy()
+    w[list(nodes), 0] = 1.0
+    rho[list(cells)] += 1.0
+    traj = FlowState(t=0.0, rho=rho, u=state.u, w=w, b=state.b,
+                     theta=state.theta)
+    return Trajectory((traj,), (None,)), Trajectory((state,), (None,))
+
+
+class TestBlThicknessMirror:
+    """delta* reads each point by its whole-cell distance to the nearer
+    wall, so a profile and its mirror have the same thickness on any
+    grid, power of two or not."""
+
+    @pytest.mark.parametrize("n", [96, 384, 1536])
+    def test_mirror_has_same_thickness(self, n):
+        """One point above tol, at each distance from the left wall up
+        to past the 1/4 ceiling, and its mirror at the right wall."""
+        grid = GridSpec(n)
+        for m in range(n // 4 + 2):
+            for left, right in (({"nodes": [m]}, {"nodes": [n - m]}),
+                                ({"cells": [m]}, {"cells": [n - 1 - m]})):
+                assert (bl_thickness(*_point_deviation(grid, **left), 0.05,
+                                     grid)
+                        == bl_thickness(*_point_deviation(grid, **right),
+                                        0.05, grid)), (m, left)
+
+    def test_first_nodes_give_one_cell(self):
+        """Above tol only at nodes 1 and 383 of 384: the interior (dx,
+        1 - dx) leaves both out, so delta* is one cell."""
+        grid = GridSpec(384)
+        assert bl_thickness(*_point_deviation(grid, nodes=(1, 383)), 0.05,
+                            grid) == BLThickness(delta=grid.dx,
+                                                 saturated=False)
+
+    def test_nan_counts_as_above_tol(self):
+        grid = GridSpec(64)
+        delta, saturated = _thickness(
+            (np.zeros((2, 64)), np.zeros((2, 65))), 0.05, grid)
+        assert delta.tolist() == [0.0, 0.0]
+        cell, node = np.zeros((2, 64)), np.zeros((2, 65))
+        node[0, 5] = np.nan
+        cell[1, 60] = np.nan
+        delta, saturated = _thickness((cell, node), 0.05, grid)
+        assert delta.tolist() == [5 * grid.dx, 4 * grid.dx]
+        assert not saturated.any()
 
 
 class TestSweepPlan:
