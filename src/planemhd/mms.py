@@ -7,7 +7,10 @@ discretises them, with the momentum and transverse updates in the
 non-conservative form rho (u_t + u u_x). manufactured_steady and
 manufactured_transient keep u identically zero, which exercises every
 other term at its formal order; manufactured_advecting adds a nonzero
-u, so the advection terms and the continuity source enter too.
+u, so the advection terms and the continuity source enter too. The
+scheme takes the same non-conservative form at mu = 0, where the
+transverse update only loses its diffusion, so sources derived for
+mu = 0 by mms_derive hold there too.
 
 The sources are derived ahead of time, for the one parameter set
 PARAMS (PhysParams(mu=0.05)) that every forced run uses: mms_derive

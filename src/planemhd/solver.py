@@ -3,9 +3,8 @@
 Hyperbolic terms are explicit (first-order upwind for advection, compact
 central differences for pressure-like gradients), diffusive terms are
 implicit Euler via tridiagonal solves, so the time step is limited only
-by the acoustic CFL condition. mu = 0 switches the transverse momentum
-equation to a purely hyperbolic conservative update with no wall
-condition on w.
+by the acoustic CFL condition. mu = 0 is the case of the transverse
+update with no diffusion, and then w has no wall condition.
 """
 
 from __future__ import annotations
@@ -365,9 +364,11 @@ def transverse_system(grid: GridSpec, params: PhysParams, dt: float,
 
     w, b and f_w have shape (N+1, 2); the two components share the
     matrix, and rhs has shape (N-1, 2). wl, wr are the Dirichlet values
-    at the end-of-step time, one per component or one for both. A batch
-    adds a leading member axis to rho_new, u_new, w and b, and params.mu
-    is then an (R, 1) column.
+    at the end-of-step time, one per component or one for both; they
+    enter with the diffusion coefficient a = mu dt / dx^2, so only where
+    mu > 0. Where mu = 0 the matrix is the diagonal rho. A batch adds a
+    leading member axis to rho_new, u_new, w and b, and params.mu is
+    then an (R, 1) column.
     """
     dx = grid.dx
     rho_n = interpolate_to_nodes(rho_new)
@@ -390,73 +391,33 @@ def advance_transverse(state: FlowState, grid: GridSpec, dt: float,
                        params: PhysParams, bdry: BoundaryData,
                        rho_new: np.ndarray, u_new: np.ndarray,
                        forcing: Optional[ForcingSpec] = None) -> np.ndarray:
-    """Transverse velocity update: the hyperbolic limit update where
-    mu = 0, the implicit one where mu > 0, member by member in a batch."""
+    """Transverse velocity update: one implicit solve for every member
+    of a batch, mu = 0 being the case with no diffusion.
+
+    The interior nodes solve transverse_system. The wall nodes, where
+    u = 0, take the wall value where mu > 0; where mu = 0 they take the
+    same update with no diffusion, rho w_t = b_x + f_w, so that w has no
+    wall condition there.
+    """
     t_new = state.t + dt
     f_w = _source(forcing, "transverse", grid, t_new)
-    limit = np.asarray(params.mu == 0.0)    # () alone, (R, 1) in a batch
-    if limit.all():
-        return _advance_transverse_limit(grid, dt, state.rho, state.w,
-                                         state.b, rho_new, u_new, f_w)
     wall = bdry.at(t_new)
-    if not limit.any():
-        return _advance_transverse_implicit(grid, params, dt, wall, state.w,
-                                            state.b, rho_new, u_new, f_w)
-    lim = limit[:, 0]
-    vis = ~lim
-    w_new = np.empty_like(state.w)
-    w_new[lim] = _advance_transverse_limit(
-        grid, dt, state.rho[lim], state.w[lim], state.b[lim], rho_new[lim],
-        u_new[lim], f_w)
-    w_new[vis] = _advance_transverse_implicit(
-        grid, _with_mu(params, params.mu[vis]), dt, wall, state.w[vis],
-        state.b[vis], rho_new[vis], u_new[vis], f_w)
-    return w_new
-
-
-def _advance_transverse_implicit(grid: GridSpec, params: PhysParams,
-                                 dt: float, wall: np.ndarray, w: np.ndarray,
-                                 b: np.ndarray, rho_new: np.ndarray,
-                                 u_new: np.ndarray,
-                                 f_w: Optional[np.ndarray]) -> np.ndarray:
-    """mu > 0: implicit diffusion of w with the wall value at both walls."""
     lower, diag, upper, rhs = transverse_system(
-        grid, params, dt, rho_new, u_new, w, b, wall, wall, f_w)
-    w_new = np.empty_like(w)
+        grid, params, dt, rho_new, u_new, state.w, state.b, wall, wall, f_w)
+    w_new = np.empty_like(state.w)
     w_new[..., 1:-1, :] = _solve_blocks(lower, diag, upper, rhs)
-    w_new[..., 0, :] = wall
-    w_new[..., -1, :] = wall
-    return w_new
-
-
-def _advance_transverse_limit(grid: GridSpec, dt: float, rho: np.ndarray,
-                              w: np.ndarray, b: np.ndarray,
-                              rho_new: np.ndarray, u_new: np.ndarray,
-                              f_w: Optional[np.ndarray]) -> np.ndarray:
-    """mu = 0: conservative upwind transport of rho*w with b_x source.
-
-    The walls are characteristic (u = 0 there), so no boundary condition
-    is imposed on w; the wall nodes evolve on half control volumes.
-    """
-    dx = grid.dx
-    rho_n_old = interpolate_to_nodes(rho)[..., None]
-    rho_n_new = interpolate_to_nodes(rho_new)[..., None]
-    u_c = 0.5 * (u_new[..., :-1] + u_new[..., 1:])[..., None]
-    m = rho_n_old * w
-    m_up = np.where(u_c > 0, m[..., :-1, :], m[..., 1:, :])
-    flux = u_c * m_up                           # at cell centers
-    b_x = _central_grad(b, dx)
-    m_new = np.empty_like(m)
-    m_new[..., 1:-1, :] = (m[..., 1:-1, :]
-                           - (dt / dx) * np.diff(flux, axis=-2)
-                           + dt * b_x[..., 1:-1, :])
-    m_new[..., 0, :] = (m[..., 0, :] - (dt / (dx / 2)) * flux[..., 0, :]
-                        + dt * b_x[..., 0, :])
-    m_new[..., -1, :] = (m[..., -1, :] + (dt / (dx / 2)) * flux[..., -1, :]
-                         + dt * b_x[..., -1, :])
+    # the wall nodes 0 and N (step N); rho there is that of cells 0 and
+    # N-1 (step N-1), which interpolate_to_nodes copies, and b_x is
+    # _central_grad's one-sided difference
+    n = grid.n_cells
+    rho_w = rho_new[..., ::n - 1, None]
+    b_x = (state.b[..., 1::n - 1, :] - state.b[..., ::n - 1, :]) / grid.dx
+    rhs_w = rho_w * state.w[..., ::n, :] + dt * b_x
     if f_w is not None:
-        m_new += dt * f_w
-    return m_new / rho_n_new
+        rhs_w = rhs_w + dt * f_w[::n]
+    w_new[..., ::n, :] = np.where(np.greater(params.mu, 0)[..., None],
+                                  wall, rhs_w / rho_w)
+    return w_new
 
 
 def induction_system(grid: GridSpec, params: PhysParams, dt: float,

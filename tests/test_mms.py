@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ import sympy
 import planemhd
 from planemhd import mms_derive, mms_sources
 from planemhd.core import BoundaryData, GridSpec, PhysParams
-from planemhd.mms import (manufactured_advecting, manufactured_steady,
-                          manufactured_transient, spatial_order)
-from planemhd.solver import step
+from planemhd.mms import (ManufacturedSolution, manufactured_advecting,
+                          manufactured_steady, manufactured_transient,
+                          solution_error, spatial_order)
+from planemhd.solver import TimeConfig, step
 
 PARAMS = PhysParams(mu=0.05)
 
@@ -106,6 +108,42 @@ class TestAdvectingOrder:
             assert not mms.forcing.continuity(x, 0.2).any()
         advecting = manufactured_advecting()
         assert np.abs(advecting.forcing.continuity(x, 0.2)).max() > 1e-2
+
+
+def _derived(solution: str, params: PhysParams) -> ManufacturedSolution:
+    """The manufactured solution with its sources derived for params by
+    mms_derive and lambdified, wrapped as mms wraps mms_sources."""
+    exprs = mms_derive._build(params, *mms_derive.SOLUTIONS[solution]())
+    fresh = SimpleNamespace(**{
+        f"{solution}_{name}": sympy.lambdify(
+            (mms_derive.x, mms_derive.t), expr, modules="numpy")
+        for name, expr in exprs.items()})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(planemhd.mms, "mms_sources", fresh)
+        return planemhd.mms._solution(solution)
+
+
+class TestLimitOrder:
+    """The mu = 0 update is the viscous one with no diffusion, so it
+    reads the transverse forcing as mms_derive derives it for the
+    non-conservative form, and keeps the orders of mu > 0: second in
+    space where u = 0, first where u advects."""
+
+    @pytest.mark.parametrize("solution, bound", [("steady", 1.7),
+                                                 ("advecting", 0.9)])
+    def test_spatial_order(self, solution, bound):
+        params = PhysParams(mu=0.0)
+        mms = _derived(solution, params)
+        n_values = (32, 64, 128, 256)
+        errs = []
+        for n in n_values:
+            grid = GridSpec(n)
+            cfg = TimeConfig(t_end=0.1, cfl=0.4, dt_max=0.4 * grid.dx,
+                             snapshot_stride=10 ** 6)
+            errs.append(solution_error(mms, grid, params, cfg))
+        order = np.polyfit(np.log(1.0 / np.array(n_values)), np.log(errs),
+                           1)[0]
+        assert order >= bound, errs
 
 
 class TestPrintedSources:

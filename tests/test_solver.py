@@ -499,6 +499,19 @@ class TestInitialChecked:
         assert steps == []
 
 
+def _random_transverse_state(grid, rng):
+    """A state of grid with random rho, u, w and b, u and b zero at the
+    walls."""
+    n = grid.n_cells
+    u = rng.normal(0, 0.3, n + 1)
+    b = rng.normal(0, 0.3, (n + 1, 2))
+    u[0] = u[-1] = 0.0
+    b[0] = b[-1] = 0.0
+    return make_initial_state(
+        grid, {"rho": 0.5 + rng.random(n), "theta": np.ones(n), "u": u,
+               "w": rng.normal(0, 0.5, (n + 1, 2)), "b": b})
+
+
 class TestLimitSystem:
     def test_transverse_rest_is_invariant(self):
         """With w = b = 0 initially, the limit system keeps both fields
@@ -512,34 +525,13 @@ class TestLimitSystem:
         assert np.all(traj.w == 0.0)
         assert np.all(traj.b == 0.0)
 
-    def test_limit_transverse_momentum_conserved(self):
-        """The mu = 0 transverse update is conservative, so the total
-        rho-weighted w integral only changes through the b_x source."""
-        grid = GridSpec(32)
-        n = grid.n_cells
-        rng = np.random.default_rng(3)
-        u = rng.normal(0, 0.2, n + 1)
-        u[0] = u[-1] = 0.0
-        w = rng.normal(0, 0.5, (n + 1, 2))
-        state = make_initial_state(
-            grid, {"rho": 0.5 + rng.random(n), "theta": np.ones(n),
-                   "u": u, "w": w})
-        params = PhysParams(mu=0.0)
-        w_new = advance_transverse(state, grid, 1e-3, params,
-                                   BoundaryData(), state.rho, state.u)
-        # node integral with half weights at the walls, b = 0 so no source
-        wt = np.full(n + 1, grid.dx)
-        wt[0] = wt[-1] = grid.dx / 2
-        from planemhd.core import interpolate_to_nodes
-        rho_n = interpolate_to_nodes(state.rho)
-        before = (rho_n[:, None] * state.w * wt[:, None]).sum(axis=0)
-        after = (rho_n[:, None] * w_new * wt[:, None]).sum(axis=0)
-        np.testing.assert_allclose(after, before, atol=1e-14)
-
     @pytest.mark.parametrize("forced", [False, True])
     def test_limit_update_matches_per_component_loop(self, forced):
-        """Both components of the mu = 0 transverse update are computed
-        together, bit for bit as one component at a time."""
+        """The mu = 0 transverse update is the viscous one with no
+        diffusion, rho (w_t + u w_x) = b_x + f_w at every node, walls
+        included (u = 0 there), so that w takes no wall condition. Both
+        components are computed together, bit for bit as one component
+        at a time."""
         grid = GridSpec(24)
         n = grid.n_cells
         dx, dt = grid.dx, 2e-3
@@ -549,35 +541,55 @@ class TestLimitSystem:
             forcing = ForcingSpec(transverse=lambda x, t: np.stack(
                 [np.sin(3 * x + t), np.cos(2 * x)], axis=-1))
         for _ in range(10):
-            u = rng.normal(0, 0.3, n + 1)
-            b = rng.normal(0, 0.3, (n + 1, 2))
-            u[0] = u[-1] = 0.0
-            b[0] = b[-1] = 0.0
-            state = make_initial_state(
-                grid, {"rho": 0.5 + rng.random(n), "theta": np.ones(n),
-                       "u": u, "w": rng.normal(0, 0.5, (n + 1, 2)),
-                       "b": b})
+            state = _random_transverse_state(grid, rng)
             rho_new = 0.5 + rng.random(n)
             u_new = state.u * 0.9
             got = advance_transverse(state, grid, dt, PhysParams(mu=0.0),
-                                     BoundaryData(), rho_new, u_new,
-                                     forcing)
-            rho_n_old = interpolate_to_nodes(state.rho)
-            rho_n_new = interpolate_to_nodes(rho_new)
-            u_c = 0.5 * (u_new[:-1] + u_new[1:])
+                                     BoundaryData("constant", 0.7), rho_new,
+                                     u_new, forcing)
+            rho_n = interpolate_to_nodes(rho_new)
             for k in (0, 1):
-                m = rho_n_old * state.w[:, k]
-                flux = u_c * np.where(u_c > 0, m[:-1], m[1:])
+                w = state.w[:, k]
+                d = np.diff(w) / dx
+                w_x = np.where(u_new > 0, np.append(d[0], d),
+                               np.append(d, d[-1]))
                 b_x = _central_grad(state.b, dx)[:, k]
-                m_new = np.empty_like(m)
-                m_new[1:-1] = (m[1:-1] - (dt / dx) * np.diff(flux)
-                               + dt * b_x[1:-1])
-                m_new[0] = m[0] - (dt / (dx / 2)) * flux[0] + dt * b_x[0]
-                m_new[-1] = m[-1] + (dt / (dx / 2)) * flux[-1] + dt * b_x[-1]
+                rhs = rho_n * w - dt * (rho_n * (u_new * w_x) - b_x)
                 if forced:
-                    m_new += dt * forcing.transverse(grid.node_positions,
-                                                     dt)[:, k]
-                np.testing.assert_array_equal(got[:, k], m_new / rho_n_new)
+                    rhs = rhs + dt * forcing.transverse(
+                        grid.node_positions, dt)[:, k]
+                np.testing.assert_array_equal(got[:, k], rhs / rho_n)
+
+    def test_limit_is_viscous_update_without_wall_value(self):
+        """In one batch, a mu = 0 row and a mu = 1e-200 row from the same
+        state get the same interior nodes to the bit: the diffusion of
+        1e-200 is below the last bit of every entry. They differ only at
+        the two wall nodes, where mu > 0 takes the wall value. Each row,
+        the mu = 0 one included, is the update of its state alone."""
+        grid = GridSpec(32)
+        dt = 1e-3
+        rng = np.random.default_rng(11)
+        bdry = BoundaryData("constant", 0.7)
+        one = _random_transverse_state(grid, rng)
+        rows = (one, one, _random_transverse_state(grid, rng))
+        mu = np.array([0.0, 1e-200, 1e-3])
+        batch = FlowState(t=0.0, **{
+            name: np.stack([getattr(s, name) for s in rows])
+            for name in STATE_FIELDS})
+        rho_new = 0.5 + rng.random((3, grid.n_cells))
+        rho_new[1] = rho_new[0]
+        u_new = 0.9 * batch.u
+        got = advance_transverse(batch, grid, dt,
+                                 solver._with_mu(PhysParams(), mu), bdry,
+                                 rho_new, u_new)
+        assert np.array_equal(got[0, 1:-1], got[1, 1:-1])
+        assert np.all(got[1, [0, -1]] == bdry.at(dt))
+        assert np.all(got[0, [0, -1]] != got[1, [0, -1]])
+        for m, state in enumerate(rows):
+            alone = advance_transverse(state, grid, dt,
+                                       PhysParams(mu=mu[m]), bdry,
+                                       rho_new[m], u_new[m])
+            assert np.array_equal(got[m], alone), m
 
 
 def _lockstep_scenario(n_cells=32):
@@ -587,6 +599,27 @@ def _lockstep_scenario(n_cells=32):
     # dt_max = 5e-4 sets every step: the CFL step is about 1e-2 here
     cfg = TimeConfig(t_end=0.03, dt_max=5e-4, snapshot_stride=4)
     return initial, grid, PhysParams(), bdry, cfg
+
+
+def _moving_scenario(n_cells=32):
+    """_lockstep_scenario's grid and time settings with profiles whose
+    mu = 0 member moves: u, w and b nonzero, and zero wall data, so that
+    w jumps by 0.5 at each wall."""
+    grid = GridSpec(n_cells)
+    xc, xn = grid.cell_centers, grid.node_positions
+    bump = np.exp(-50.0 * (xc - 0.5) ** 2)
+    u = 0.2 * np.sin(np.pi * xn)
+    b = np.stack([0.3 * np.sin(np.pi * xn), 0.2 * np.sin(2 * np.pi * xn)],
+                 axis=-1)
+    u[0] = u[-1] = 0.0
+    b[0] = b[-1] = 0.0
+    initial = make_initial_state(grid, {
+        "rho": 1.0 + 0.3 * bump, "theta": 1.0 + 0.5 * bump, "u": u,
+        "w": np.stack([0.5 * np.cos(np.pi * xn),
+                       0.3 * np.sin(2 * np.pi * xn) + 0.2], axis=-1),
+        "b": b})
+    _, _, params, _, cfg = _lockstep_scenario(n_cells)
+    return initial, grid, params, BoundaryData(), cfg
 
 
 MEMBERS = (0.0, 1e-2, 1e-3, 1e-4)
@@ -600,12 +633,18 @@ def _assert_same_run(a, b):
 
 
 class TestLockstep:
-    def test_members_match_solo_runs(self):
+    @pytest.mark.parametrize("scenario", [_lockstep_scenario,
+                                          _moving_scenario])
+    def test_members_match_solo_runs(self, scenario):
         """With dt_max setting every step, each member is bit for bit the
-        run of its own mu, the mu = 0 member the limit system."""
-        initial, grid, params, bdry, cfg = _lockstep_scenario()
+        run of its own mu, the mu = 0 member the limit system. In
+        _moving_scenario that member moves too, so the rows with and
+        without diffusion share each block solve."""
+        initial, grid, params, bdry, cfg = scenario()
         outs = lockstep_trajectories(initial, grid, params, bdry, cfg,
                                      MEMBERS)
+        if scenario is _moving_scenario:
+            assert np.abs(outs[0].w[-1] - initial.w).max() > 0.02
         for mu, traj in zip(MEMBERS, outs):
             _assert_same_run(traj, run(initial, grid,
                                        replace(params, mu=mu), bdry, cfg))
