@@ -10,6 +10,7 @@ lockstep batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -55,13 +56,14 @@ class GridSpec:
     def dx(self) -> float:
         return 1.0 / self.n_cells
 
-    @property
+    # built once per grid, read-only
+    @cached_property
     def cell_centers(self) -> np.ndarray:
-        return (np.arange(self.n_cells) + 0.5) * self.dx
+        return _frozen((np.arange(self.n_cells) + 0.5) * self.dx)
 
-    @property
+    @cached_property
     def node_positions(self) -> np.ndarray:
-        return np.arange(self.n_cells + 1) * self.dx
+        return _frozen(np.arange(self.n_cells + 1) * self.dx)
 
 
 @dataclass(frozen=True)

@@ -51,9 +51,10 @@ def record(state: FlowState, grid: GridSpec, params: PhysParams):
     np.void for one state, an (R,) array for a lockstep batch of R."""
     dx = grid.dx
     rho, theta = state.rho, state.theta
-    u_x = np.diff(state.u, axis=-1) / dx
-    w_x = np.diff(state.w, axis=-2) / dx
-    b_x = np.diff(state.b, axis=-2) / dx
+    u, w, b = state.u, state.w, state.b
+    u_x = (u[..., 1:] - u[..., :-1]) / dx
+    w_x = (w[..., 1:, :] - w[..., :-1, :]) / dx
+    b_x = (b[..., 1:, :] - b[..., :-1, :]) / dx
     entropy = (rho * entropy_density(rho, theta, params.gamma)).sum(
         axis=-1) * dx
     rows = np.empty(rho.shape[:-1], DIAGNOSTICS_DTYPE)

@@ -41,21 +41,18 @@ from .mms_sources import PARAMS
 from .solver import ForcingSpec, TimeConfig, run
 
 
-def _field(solution: str, name: str):
-    """The printed function `<solution>_<name>` of mms_sources, returning
-    an array of the shape of x also where it is constant."""
-    f = getattr(mms_sources, f"{solution}_{name}")
+def _field(solution: str, *names: str):
+    """The printed functions `<solution>_<name>` of mms_sources as one
+    function of (x, t), which returns a new array of the shape of x,
+    also where a function is constant, with a last axis of one entry
+    per name when there are two."""
+    fs = [getattr(mms_sources, f"{solution}_{name}") for name in names]
 
     def wrapped(x, t):
-        return np.broadcast_to(np.asarray(f(x, t), dtype=float),
-                               np.shape(x)).copy()
-
-    return wrapped
-
-
-def _pair(f1, f2):
-    def wrapped(x, t):
-        return np.stack([f1(x, t), f2(x, t)], axis=-1)
+        out = np.empty(np.shape(x) + (len(fs),))
+        for k, f in enumerate(fs):
+            out[..., k] = f(x, t)
+        return out if len(fs) > 1 else out[..., 0]
 
     return wrapped
 
@@ -87,7 +84,7 @@ def _solution(solution: str) -> ManufacturedSolution:
         return _field(solution, name)
 
     def pair(name):
-        return _pair(field(name + "1"), field(name + "2"))
+        return _field(solution, name + "1", name + "2")
 
     forcing = ForcingSpec(continuity=field("f_rho"), momentum=field("f_u"),
                           transverse=pair("f_w"), induction=pair("f_b"),

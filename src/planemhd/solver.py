@@ -2,9 +2,11 @@
 
 Hyperbolic terms are explicit (first-order upwind for advection, compact
 central differences for pressure-like gradients), diffusive terms are
-implicit Euler via tridiagonal solves, so the time step is limited only
-by the acoustic CFL condition. mu = 0 is the case of the transverse
-update with no diffusion, and then w has no wall condition.
+implicit Euler, so the time step is limited only by the acoustic CFL
+condition. Every implicit system is symmetric positive definite, one
+band off the diagonal, and is solved by LDL^T. mu = 0 is the case of
+the transverse update with no diffusion, and then w has no wall
+condition.
 """
 
 from __future__ import annotations
@@ -101,140 +103,130 @@ def _source(forcing: Optional[ForcingSpec], name: str, grid: GridSpec,
              else grid.node_positions, t)
 
 
-# LAPACK dgtsv (Fortran calling convention, 64-bit integers) from the
+# LAPACK dptsv (Fortran calling convention, 64-bit integers) from the
 # OpenBLAS that numpy's wheels bundle and `import numpy` has already
 # loaded; None on builds that do not export it (distro and MKL builds),
 # which fall back to _thomas_solve. The Fortran routine, unlike
-# LAPACKE_dgtsv, does not reject NaN input, so a NaN reaches the
+# LAPACKE_dptsv, does not reject NaN input, so a NaN reaches the
 # positivity checks of the sub-steps on both paths.
-_dgtsv = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__),
-                 "scipy_dgtsv_64_", None)
-if _dgtsv is not None:
+_dptsv = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__),
+                 "scipy_dptsv_64_", None)
+if _dptsv is not None:
     _int_p = ctypes.POINTER(ctypes.c_int64)
-    # N, NRHS, DL, D, DU, B, LDB, INFO
-    _dgtsv.argtypes = [_int_p, _int_p, ctypes.c_void_p, ctypes.c_void_p,
-                       ctypes.c_void_p, ctypes.c_void_p, _int_p, _int_p]
-    _dgtsv.restype = None
+    # N, NRHS, D, E, B, LDB, INFO
+    _dptsv.argtypes = [_int_p, _int_p, ctypes.c_void_p, ctypes.c_void_p,
+                       ctypes.c_void_p, _int_p, _int_p]
+    _dptsv.restype = None
 
 
-def tridiag_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                  rhs: np.ndarray) -> np.ndarray:
-    """Solve lower[i]*x[i-1] + diag[i]*x[i] + upper[i]*x[i+1] = rhs[i].
+def tridiag_solve(off, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the symmetric tridiagonal system
+    off[i-1]*x[i-1] + diag[i]*x[i] + off[i]*x[i+1] = rhs[i].
 
-    rhs has shape (n,) or (n, m); the m columns share one elimination
-    and the result has the shape of rhs. lower[0] and upper[-1] are
-    ignored. The inputs are left as they were, and the result shares no
-    memory with them. An empty system (n = 0), or bands of another
-    length than diag, raise ValueError; a singular system raises
+    off broadcasts to the n - 1 entries off the diagonal (a scalar, or
+    an array of n - 1). rhs has shape (n, ...); every trailing index is
+    a column, the columns share one factorization, and the result has
+    the shape of rhs. The inputs are left as they were, and the result
+    shares no memory with them. An empty system (n = 0), or off or rhs
+    of another length, raise ValueError; a pivot that is zero or
+    negative, which a positive definite matrix never gives, raises
     ZeroDivisionError.
 
-    Runs LAPACK dgtsv where numpy's OpenBLAS exports it, else the Thomas
-    recurrence of _thomas_solve. dgtsv pivots by rows, but the strictly
-    diagonally dominant systems of the implicit sub-steps never swap a
-    row, so both paths do the same elimination. Results may still differ
-    in the last bit: dgtsv subtracts multiples lower/diag of each row
-    where the Thomas recurrence divides by the pivot.
+    Runs LAPACK dptsv (LDL^T, no pivoting) where numpy's OpenBLAS
+    exports it, else _thomas_solve, which does the same arithmetic in
+    the same order and so gives the same bits.
     """
-    if _dgtsv is None:
-        return _thomas_solve(lower, diag, upper, rhs)
-    n = _system_size(lower, diag, upper, rhs)
-    # dgtsv overwrites all four arrays, so it gets copies, packed into
-    # one fresh buffer of four n-wide slots (the bands use n - 1 of
-    # theirs) so that one .ctypes.data lookup serves all four pointers:
-    # lower, diag, upper, then rhs in Fortran order, which is the result
-    buf = np.empty(3 * n + rhs.size)
-    buf[:n - 1] = lower[1:]
-    buf[n:2 * n] = diag
-    buf[2 * n:3 * n - 1] = upper[:-1]
-    x = buf[3 * n:].reshape(rhs.shape, order="F")
+    if _dptsv is None:
+        return _thomas_solve(off, diag, rhs)
+    n = _system_size(off, diag, rhs)
+    # dptsv overwrites all three, so it gets copies, packed into one
+    # fresh buffer (one .ctypes.data lookup serves every pointer): diag,
+    # off in an n-wide slot, then rhs in Fortran order, which is the
+    # result
+    buf = np.empty(2 * n + rhs.size)
+    buf[:n] = diag
+    buf[n:2 * n - 1] = off
+    x = buf[2 * n:].reshape(rhs.shape, order="F")
     x[...] = rhs
     p = buf.ctypes.data
     n_ = ctypes.c_int64(n)
     info = ctypes.c_int64()
-    _dgtsv(n_, ctypes.c_int64(rhs.size // n), p, p + 8 * n, p + 16 * n,
-           p + 24 * n, n_, info)
+    _dptsv(n_, ctypes.c_int64(rhs.size // n), p, p + 8 * n, p + 16 * n,
+           n_, info)
     if info.value > 0:
-        raise ZeroDivisionError("zero pivot in tridiagonal solve")
+        raise ZeroDivisionError("nonpositive pivot in tridiagonal solve")
     return x
 
 
-def _system_size(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                 rhs: np.ndarray) -> int:
-    """n of a tridiagonal system, after checking that it has one."""
+def _system_size(off, diag: np.ndarray, rhs: np.ndarray) -> int:
+    """n of a symmetric tridiagonal system, after checking that it has
+    one."""
     n = len(diag)
     if n == 0:
         raise ValueError("empty tridiagonal system: diag has length 0")
-    if len(lower) != n or len(upper) != n or len(rhs) != n:
-        raise ValueError("bands and right-hand side must have the length "
-                         "of diag")
+    if np.shape(off) not in ((), (n - 1,)) or len(rhs) != n:
+        raise ValueError("off must broadcast to n - 1 entries and rhs "
+                         "must have the length of diag")
     return n
 
 
-def _thomas_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                  rhs: np.ndarray) -> np.ndarray:
-    """Thomas algorithm with the contract of tridiag_solve.
+def _thomas_solve(off, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The LDL^T recurrence of LAPACK dptsv, with the contract of
+    tridiag_solve.
 
-    No pivoting, so it needs the diagonal dominance that the implicit
-    sub-steps guarantee. The recurrences run on Python floats: they are
-    IEEE doubles like numpy's, and far cheaper to index one at a time
-    than numpy scalars.
+    It factors as dpttrf does and solves as dptts2 does, operation for
+    operation (a one-unknown system is scaled by 1 / diag), so it gives
+    dptsv's bits. The recurrences run on Python floats: they are IEEE
+    doubles like numpy's, and far cheaper to index one at a time than
+    numpy scalars.
     """
-    n = _system_size(lower, diag, upper, rhs)
-    low = lower.tolist()
-    low[0] = 0.0
-    pivots = []
+    n = _system_size(off, diag, rhs)
+    pivots = np.asarray(diag, dtype=float).tolist()
     factors = []
-    c = 0.0
-    for lo, di, up in zip(low, diag.tolist(), upper.tolist()):
-        piv = di - lo * c
-        if piv == 0.0:
-            raise ZeroDivisionError("zero pivot in tridiagonal solve")
-        c = up / piv
-        pivots.append(piv)
-        factors.append(c)
-    factors.pop()
-    factors.reverse()
+    for i, e in enumerate(np.broadcast_to(off, (n - 1,)).tolist()):
+        f = e / pivots[i]           # a zero pivot raises here
+        pivots[i + 1] -= f * e
+        factors.append(f)
+    if any(p <= 0.0 for p in pivots):   # a NaN passes, as in dpttrf
+        raise ZeroDivisionError("nonpositive pivot in tridiagonal solve")
     cols = []
-    for col in np.reshape(rhs.T, (-1, n)).tolist():
-        d = 0.0
-        ds = []
-        for lo, piv, r in zip(low, pivots, col):
-            d = (r - lo * d) / piv
-            ds.append(d)
-        x = ds.pop()
-        ds.reverse()
-        xs = [x]
-        for c, d in zip(factors, ds):
-            x = d - c * x
-            xs.append(x)
-        xs.reverse()
-        cols.append(xs)
-    return np.array(cols).T.reshape(rhs.shape)
+    for col in np.reshape(np.asarray(rhs, dtype=float).T, (-1, n)).tolist():
+        # L y = b, then D L^T x = y
+        y = col[:1]
+        for f, b in zip(factors, col[1:]):
+            y.append(b - y[-1] * f)
+        x = [y[-1] / pivots[-1] if n > 1 else y[0] * (1.0 / pivots[0])]
+        for f, yi, d in zip(factors[::-1], y[-2::-1], pivots[-2::-1]):
+            x.append(yi / d - x[-1] * f)
+        cols.append(x[::-1])
+    return np.array(cols).T.reshape(rhs.shape, order="F")
 
 
-def _solve_blocks(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                  rhs: np.ndarray) -> np.ndarray:
-    """tridiag_solve for one system per member: bands (R, n) and rhs
-    (R, n) or (R, n, m), or one system without the member axis.
+def _solve_blocks(off, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """tridiag_solve for one system per member: diag (R, n), off
+    broadcasting to (R, n - 1) (a scalar, an (R, 1) column or the full
+    band) and rhs (R, n) or (R, n, m); or one system without the member
+    axis.
 
     The R systems go to tridiag_solve as one block-diagonal system of
     R*n unknowns whose couplings across block edges are zero, so each
-    block eliminates exactly as its own solve would, to the bit. A block
+    block eliminates exactly as its own solve would, to the bit (for
+    n >= 2: dptsv scales a one-unknown system by 1 / diag). A block
     that is not finite would still spread through those couplings
     (0 * nan is nan), so when the result is not finite the blocks are
     solved one by one, and only the blocks at fault keep their nan.
     """
-    several = diag.size > diag.shape[-1]
-    if several:
-        lower = np.array(lower)
-        lower[..., 0] = 0.0
-        upper = np.array(upper)
-        upper[..., -1] = 0.0
-    x = tridiag_solve(lower.reshape(-1), diag.reshape(-1), upper.reshape(-1),
-                      rhs.reshape((diag.size,) + rhs.shape[diag.ndim:]))
-    if several and not np.isfinite(x).all():
-        return np.stack([tridiag_solve(*block)
-                         for block in zip(lower, diag, upper, rhs)])
+    if diag.ndim == 1:
+        return tridiag_solve(off, diag, rhs)
+    # the band of the block-diagonal system, its block edges zeroed
+    band = np.empty(diag.shape)
+    band[:, :-1] = off
+    band[:, -1] = 0.0
+    x = tridiag_solve(band.reshape(-1)[:-1], diag.reshape(-1),
+                      rhs.reshape((diag.size,) + rhs.shape[2:]))
+    if not np.isfinite(x).all():
+        return np.stack([tridiag_solve(e[:-1], d, b)
+                         for e, d, b in zip(band, diag, rhs)])
     return x.reshape(rhs.shape)
 
 
@@ -309,7 +301,7 @@ def advance_density(state: FlowState, grid: GridSpec, dt: float,
     flux = np.zeros_like(u)
     up = np.where(u[..., 1:-1] > 0, rho[..., :-1], rho[..., 1:])
     flux[..., 1:-1] = up * u[..., 1:-1]
-    rho_new = rho - (dt / dx) * np.diff(flux)
+    rho_new = rho - (dt / dx) * (flux[..., 1:] - flux[..., :-1])
     f_rho = _source(forcing, "continuity", grid, state.t + dt)
     if f_rho is not None:
         rho_new = rho_new + dt * f_rho
@@ -317,18 +309,12 @@ def advance_density(state: FlowState, grid: GridSpec, dt: float,
     return rho_new
 
 
-def _diffusion_bands(mass: np.ndarray, a):
-    """Bands of the implicit diffusion matrix at the interior nodes:
-    mass + 2a on the diagonal and -a off it. a is a scalar or an (R, 1)
-    column, one per member."""
-    lower = np.full(mass.shape, -a)
-    return lower, mass + 2 * a, lower.copy()
-
-
 def velocity_system(grid: GridSpec, params: PhysParams, dt: float,
                     rho_new: np.ndarray, u: np.ndarray, theta: np.ndarray,
                     b: np.ndarray, f_u: Optional[np.ndarray] = None):
-    """Implicit system for the interior longitudinal velocity nodes."""
+    """Implicit system (off, diag, rhs) for the interior longitudinal
+    velocity nodes: diag = rho + 2a and off = -a, with a = lam dt / dx^2,
+    as tridiag_solve takes them."""
     dx = grid.dx
     rho_n = interpolate_to_nodes(rho_new)
     b_c = 0.5 * (b[..., :-1, :] + b[..., 1:, :])
@@ -339,19 +325,17 @@ def velocity_system(grid: GridSpec, params: PhysParams, dt: float,
     rhs[..., 1:-1] -= dt * grad
     if f_u is not None:
         rhs = rhs + dt * f_u
-    lower, diag, upper = _diffusion_bands(rho_n[..., 1:-1],
-                                          params.lam * dt / dx ** 2)
-    return lower, diag, upper, rhs[..., 1:-1]
+    a = params.lam * dt / dx ** 2
+    return -a, rho_n[..., 1:-1] + 2 * a, rhs[..., 1:-1]
 
 
 def advance_velocity(state: FlowState, grid: GridSpec, dt: float,
                      params: PhysParams, rho_new: np.ndarray,
                      forcing: Optional[ForcingSpec] = None) -> np.ndarray:
     f_u = _source(forcing, "momentum", grid, state.t + dt)
-    lower, diag, upper, rhs = velocity_system(
-        grid, params, dt, rho_new, state.u, state.theta, state.b, f_u)
     u_new = np.zeros_like(state.u)
-    u_new[..., 1:-1] = _solve_blocks(lower, diag, upper, rhs)
+    u_new[..., 1:-1] = _solve_blocks(*velocity_system(
+        grid, params, dt, rho_new, state.u, state.theta, state.b, f_u))
     return u_new
 
 
@@ -360,15 +344,15 @@ def transverse_system(grid: GridSpec, params: PhysParams, dt: float,
                       w: np.ndarray, b: np.ndarray,
                       wl: float | np.ndarray, wr: float | np.ndarray,
                       f_w: Optional[np.ndarray] = None):
-    """Implicit system for w at the interior nodes.
+    """Implicit system (off, diag, rhs) for w at the interior nodes:
+    diag = rho + 2a and off = -a, with a = mu dt / dx^2.
 
     w, b and f_w have shape (N+1, 2); the two components share the
     matrix, and rhs has shape (N-1, 2). wl, wr are the Dirichlet values
     at the end-of-step time, one per component or one for both; they
-    enter with the diffusion coefficient a = mu dt / dx^2, so only where
-    mu > 0. Where mu = 0 the matrix is the diagonal rho. A batch adds a
-    leading member axis to rho_new, u_new, w and b, and params.mu is
-    then an (R, 1) column.
+    enter with a, so only where mu > 0. Where mu = 0 the matrix is the
+    diagonal rho. A batch adds a leading member axis to rho_new, u_new,
+    w and b, and params.mu is then an (R, 1) column, as is off.
     """
     dx = grid.dx
     rho_n = interpolate_to_nodes(rho_new)
@@ -380,11 +364,10 @@ def transverse_system(grid: GridSpec, params: PhysParams, dt: float,
     if f_w is not None:
         rhs = rhs + dt * f_w
     a = params.mu * dt / dx ** 2
-    lower, diag, upper = _diffusion_bands(rho_n[..., 1:-1], a)
     rhs_i = rhs[..., 1:-1, :].copy()
     rhs_i[..., 0, :] += a * wl
     rhs_i[..., -1, :] += a * wr
-    return lower, diag, upper, rhs_i
+    return -a, rho_n[..., 1:-1] + 2 * a, rhs_i
 
 
 def advance_transverse(state: FlowState, grid: GridSpec, dt: float,
@@ -402,10 +385,9 @@ def advance_transverse(state: FlowState, grid: GridSpec, dt: float,
     t_new = state.t + dt
     f_w = _source(forcing, "transverse", grid, t_new)
     wall = bdry.at(t_new)
-    lower, diag, upper, rhs = transverse_system(
-        grid, params, dt, rho_new, u_new, state.w, state.b, wall, wall, f_w)
     w_new = np.empty_like(state.w)
-    w_new[..., 1:-1, :] = _solve_blocks(lower, diag, upper, rhs)
+    w_new[..., 1:-1, :] = _solve_blocks(*transverse_system(
+        grid, params, dt, rho_new, u_new, state.w, state.b, wall, wall, f_w))
     # the wall nodes 0 and N (step N); rho there is that of cells 0 and
     # N-1 (step N-1), which interpolate_to_nodes copies, and b_x is
     # _central_grad's one-sided difference
@@ -423,21 +405,21 @@ def advance_transverse(state: FlowState, grid: GridSpec, dt: float,
 def induction_system(grid: GridSpec, params: PhysParams, dt: float,
                      u_new: np.ndarray, w: np.ndarray, b: np.ndarray,
                      f_b: Optional[np.ndarray] = None):
-    """Implicit system for b at the interior nodes.
+    """Implicit system (off, diag, rhs) for b at the interior nodes:
+    diag = 1 + 2a and off = -a, with a = nu dt / dx^2.
 
-    w, b and f_b have shape (N+1, 2); the two components share the
-    matrix, and rhs has shape (N-1, 2). A batch adds a leading member
-    axis to u_new, w and b.
+    w, b and f_b have shape (N+1, 2), and rhs has shape (N-1, 2). A
+    batch adds a leading member axis to u_new, w, b and rhs, but not to
+    diag (N-1,): the matrix is the same for every member and both
+    components.
     """
     dx = grid.dx
     flux = u_new[..., None] * b - w
     rhs = b - dt * _central_grad(flux, dx)
     if f_b is not None:
         rhs = rhs + dt * f_b
-    lower, diag, upper = _diffusion_bands(
-        np.ones(u_new.shape[:-1] + (grid.n_cells - 1,)),
-        params.nu * dt / dx ** 2)
-    return lower, diag, upper, rhs[..., 1:-1, :]
+    a = params.nu * dt / dx ** 2
+    return -a, np.full(grid.n_cells - 1, 1 + 2 * a), rhs[..., 1:-1, :]
 
 
 def advance_induction(state: FlowState, grid: GridSpec, dt: float,
@@ -445,10 +427,13 @@ def advance_induction(state: FlowState, grid: GridSpec, dt: float,
                       w_new: np.ndarray,
                       forcing: Optional[ForcingSpec] = None) -> np.ndarray:
     f_b = _source(forcing, "induction", grid, state.t + dt)
-    lower, diag, upper, rhs = induction_system(
+    off, diag, rhs = induction_system(
         grid, params, dt, u_new, w_new, state.b, f_b)
+    # one solve, one column per member and component, node axis first;
+    # columns share no arithmetic, so a nan stays in its own
     b_new = np.zeros_like(state.b)
-    b_new[..., 1:-1, :] = _solve_blocks(lower, diag, upper, rhs)
+    b_new[..., 1:-1, :] = np.moveaxis(
+        tridiag_solve(off, diag, np.moveaxis(rhs, -2, 0)), 0, -2)
     return b_new
 
 
@@ -457,7 +442,9 @@ def temperature_system(grid: GridSpec, params: PhysParams, dt: float,
                        theta: np.ndarray, u_new: np.ndarray,
                        w_new: np.ndarray, b_new: np.ndarray,
                        f_th: Optional[np.ndarray] = None):
-    """Implicit cell-centered system for the temperature update.
+    """Implicit cell-centered system (off, diag, rhs) for the
+    temperature update: off = -kappa / dx^2 at the interior faces and
+    diag = c_v rho / dt minus the off entries of its row.
 
     Conductivity is frozen at the current state (one Picard sweep); the
     boundary faces carry zero heat flux.
@@ -471,21 +458,20 @@ def temperature_system(grid: GridSpec, params: PhysParams, dt: float,
     flux = np.zeros_like(u_new)
     q_up = np.where(u_new[..., 1:-1] > 0, q[..., :-1], q[..., 1:])
     flux[..., 1:-1] = c_v * q_up * u_new[..., 1:-1]
-    u_x = np.diff(u_new) / dx
-    w_x = np.diff(w_new, axis=-2) / dx
-    b_x = np.diff(b_new, axis=-2) / dx
+    u_x = (u_new[..., 1:] - u_new[..., :-1]) / dx
+    w_x = (w_new[..., 1:, :] - w_new[..., :-1, :]) / dx
+    b_x = (b_new[..., 1:, :] - b_new[..., :-1, :]) / dx
     heat = dissipation_q(u_x, w_x, b_x, params)
     p = params.gamma * rho_new * theta
-    rhs = (c_v * rho_old * theta / dt - np.diff(flux) / dx
+    rhs = (c_v * rho_old * theta / dt - (flux[..., 1:] - flux[..., :-1]) / dx
            - p * u_x + heat)
     if f_th is not None:
         rhs = rhs + f_th
-    lower = np.zeros_like(theta)
-    upper = np.zeros_like(theta)
-    lower[..., 1:] = -kap_face / dx ** 2
-    upper[..., :-1] = -kap_face / dx ** 2
-    diag = c_v * rho_new / dt - lower - upper
-    return lower, diag, upper, rhs
+    off = -kap_face / dx ** 2
+    diag = c_v * rho_new / dt
+    diag[..., 1:] -= off
+    diag[..., :-1] -= off
+    return off, diag, rhs
 
 
 def advance_temperature(state: FlowState, grid: GridSpec, dt: float,
@@ -494,10 +480,9 @@ def advance_temperature(state: FlowState, grid: GridSpec, dt: float,
                         b_new: np.ndarray,
                         forcing: Optional[ForcingSpec] = None) -> np.ndarray:
     f_th = _source(forcing, "energy", grid, state.t + dt)
-    lower, diag, upper, rhs = temperature_system(
+    theta_new = _solve_blocks(*temperature_system(
         grid, params, dt, state.rho, rho_new, state.theta,
-        u_new, w_new, b_new, f_th)
-    theta_new = _solve_blocks(lower, diag, upper, rhs)
+        u_new, w_new, b_new, f_th))
     _check_positive(theta_new, "temperature became nonpositive", "theta",
                     state.t)
     return theta_new

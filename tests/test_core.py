@@ -20,6 +20,17 @@ class TestGridSpec:
         mid = 0.5 * (grid.node_positions[:-1] + grid.node_positions[1:])
         np.testing.assert_allclose(grid.cell_centers, mid)
 
+    def test_positions_built_once_read_only(self):
+        """Each grid builds its positions once and shares them, so no
+        caller may write into them."""
+        grid = GridSpec(16)
+        for name in ("cell_centers", "node_positions"):
+            x = getattr(grid, name)
+            assert getattr(grid, name) is x
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1.0
+        assert GridSpec(16) == grid and hash(GridSpec(16)) == hash(grid)
+
     def test_too_coarse(self):
         with pytest.raises(InvalidStateError):
             GridSpec(4)

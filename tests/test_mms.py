@@ -21,6 +21,38 @@ PARAMS = PhysParams(mu=0.05)
 
 
 class TestManufacturedFields:
+    @pytest.mark.parametrize("make", [manufactured_steady,
+                                      manufactured_advecting,
+                                      manufactured_transient])
+    def test_fields_are_the_printed_functions(self, make):
+        """Every field and forcing entry is its printed function (or the
+        pair of them, stacked on a last axis) broadcast to the shape of
+        x, bit for bit, in a new writable array, also where the printed
+        function is a constant."""
+        mms = make()
+        solution = make.__name__.removeprefix("manufactured_")
+        grid = GridSpec(32)
+        entries = [(getattr(mms, name), name) for name in
+                   ("rho", "u", "w", "b", "theta")]
+        entries += [(getattr(mms.forcing, entry), name) for entry, name in (
+            ("continuity", "f_rho"), ("momentum", "f_u"),
+            ("transverse", "f_w"), ("induction", "f_b"),
+            ("energy", "f_theta"))]
+        for x in (grid.node_positions, grid.cell_centers):
+            for wrapped, name in entries:
+                names = ([name] if hasattr(mms_sources, f"{solution}_{name}")
+                         else [name + "1", name + "2"])
+                want = np.stack([np.broadcast_to(np.asarray(getattr(
+                    mms_sources, f"{solution}_{k}")(x, 0.3), dtype=float),
+                    x.shape) for k in names], axis=-1)
+                if len(names) == 1:
+                    want = want[..., 0]
+                got = wrapped(x, 0.3)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert got.flags.writeable
+                assert not np.shares_memory(got, x)
+
     def test_steady_state_is_admissible(self):
         grid = GridSpec(64)
         mms = manufactured_steady()

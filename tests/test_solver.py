@@ -13,38 +13,59 @@ from planemhd.core import interpolate_to_nodes
 from planemhd.solver import (ForcingSpec, RunAborted, StepFailure,
                              TimeConfig, _central_grad, _solve_blocks,
                              _thomas_solve, advance_density,
-                             advance_induction, advance_transverse, run,
-                             run_lockstep, stable_dt, step, tridiag_solve)
+                             advance_induction, advance_transverse,
+                             induction_system, run, run_lockstep, stable_dt,
+                             step, temperature_system, transverse_system,
+                             tridiag_solve, velocity_system)
 
-# tridiag_solve (LAPACK dgtsv where numpy's OpenBLAS exports it) and its
+# tridiag_solve (LAPACK dptsv where numpy's OpenBLAS exports it) and its
 # Python fallback share one contract, which the tests below check on both
 SOLVERS = (tridiag_solve, _thomas_solve)
 
 
-def _dense(lower, diag, upper):
-    a = np.diag(diag)
-    a += np.diag(upper[:-1], 1)
-    a += np.diag(lower[1:], -1)
-    return a
+def _dense(off, diag):
+    band = np.broadcast_to(off, (len(diag) - 1,))
+    return np.diag(diag) + np.diag(band, 1) + np.diag(band, -1)
 
 
-def _thomas_on_numpy_scalars(lower, diag, upper, rhs):
-    """The Thomas recurrence indexed element by element on numpy arrays;
-    _thomas_solve must reproduce it bit for bit."""
+def _system(rng, n, cols=()):
+    """A random symmetric system of n unknowns whose positive diagonal
+    strictly dominates each row, as the solver's systems do."""
+    off = rng.normal(size=n - 1)
+    diag = (3.0 + np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
+            + rng.random(n))
+    return off, diag, rng.normal(size=(n,) + cols)
+
+
+def _factored_system(rng, n, cols=()):
+    """A random symmetric positive definite system built from its LDL^T
+    factors, with a diagonal that need not dominate its rows."""
+    d = 0.1 + rng.random(n)
+    f = rng.normal(size=n - 1)
+    diag = d.copy()
+    diag[1:] += f * f * d[:-1]
+    return f * d[:-1], diag, rng.normal(size=(n,) + cols)
+
+
+def _ldlt_on_numpy_scalars(off, diag, rhs):
+    """LAPACK's dpttrf and dptts2 indexed element by element on numpy
+    arrays, for a 1-D rhs; _thomas_solve must reproduce it bit for
+    bit."""
     n = len(diag)
-    c = np.empty(n)
-    d = np.empty(n)
-    c[0] = upper[0] / diag[0] if n > 1 else 0.0
-    d[0] = rhs[0] / diag[0]
+    d = np.array(diag, dtype=float)
+    e = np.array(np.broadcast_to(off, (n - 1,)), dtype=float)
+    for i in range(n - 1):
+        ei = e[i]
+        e[i] = ei / d[i]
+        d[i + 1] = d[i + 1] - e[i] * ei
+    x = np.array(rhs, dtype=float)
+    if n == 1:
+        return x * (1.0 / d[0])
     for i in range(1, n):
-        piv = diag[i] - lower[i] * c[i - 1]
-        if i < n - 1:
-            c[i] = upper[i] / piv
-        d[i] = (rhs[i] - lower[i] * d[i - 1]) / piv
-    x = np.empty(n)
-    x[-1] = d[-1]
+        x[i] = x[i] - x[i - 1] * e[i - 1]
+    x[-1] = x[-1] / d[-1]
     for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
+        x[i] = x[i] / d[i] - x[i + 1] * e[i]
     return x
 
 
@@ -66,101 +87,99 @@ class TestTridiag:
     @settings(max_examples=50, deadline=None)
     def test_matches_dense_solve(self, n, seed):
         rng = np.random.default_rng(seed)
-        lower = rng.normal(size=n)
-        upper = rng.normal(size=n)
-        # force diagonal dominance, as the solver systems guarantee
-        diag = 3.0 + np.abs(lower) + np.abs(upper) + rng.random(n)
-        rhs = rng.normal(size=n)
-        x = tridiag_solve(lower, diag, upper, rhs)
-        x_ref = np.linalg.solve(_dense(lower, diag, upper), rhs)
+        off, diag, rhs = _system(rng, n)
+        x = tridiag_solve(off, diag, rhs)
+        x_ref = np.linalg.solve(_dense(off, diag), rhs)
         np.testing.assert_allclose(x, x_ref, atol=1e-12, rtol=1e-12)
-        assert np.array_equal(
-            _thomas_solve(lower, diag, upper, rhs),
-            _thomas_on_numpy_scalars(lower, diag, upper, rhs))
+        assert np.array_equal(_thomas_solve(off, diag, rhs),
+                              _ldlt_on_numpy_scalars(off, diag, rhs))
 
-    @pytest.mark.skipif(solver._dgtsv is None,
-                        reason="numpy's LAPACK does not export dgtsv")
-    @given(st.integers(min_value=1, max_value=600), st.integers(0, 2 ** 31),
-           st.sampled_from([(), (2,)]))
-    @settings(max_examples=50, deadline=None)
-    def test_dgtsv_matches_thomas(self, n, seed, cols):
-        rng = np.random.default_rng(seed)
-        lower = rng.normal(size=n)
-        upper = rng.normal(size=n)
-        diag = 3.0 + np.abs(lower) + np.abs(upper) + rng.random(n)
-        rhs = rng.normal(size=(n,) + cols)
-        x = tridiag_solve(lower, diag, upper, rhs)
-        x_ref = _thomas_solve(lower, diag, upper, rhs)
+    @pytest.mark.skipif(solver._dptsv is None,
+                        reason="numpy's LAPACK does not export dptsv")
+    @given(st.integers(min_value=1, max_value=700), st.integers(0, 2 ** 31),
+           st.sampled_from([(), (2,)]),
+           st.sampled_from([_system, _factored_system]))
+    @settings(max_examples=100, deadline=None)
+    def test_dptsv_matches_python_ldlt(self, n, seed, cols, build):
+        """The LAPACK path and the Python LDL^T give the same bits, so
+        the outputs do not depend on which one numpy's build offers."""
+        off, diag, rhs = build(np.random.default_rng(seed), n, cols)
+        x = tridiag_solve(off, diag, rhs)
+        x_ref = _thomas_solve(off, diag, rhs)
         assert x.shape == x_ref.shape
-        assert np.abs(x - x_ref).max() <= 1e-14 * np.abs(x_ref).max()
+        assert x.tobytes() == x_ref.tobytes()
 
-    @given(st.integers(min_value=1, max_value=40), st.integers(0, 2 ** 31))
+    @given(st.integers(min_value=1, max_value=40), st.integers(0, 2 ** 31),
+           st.sampled_from([(2,), (3, 2)]))
     @settings(max_examples=50, deadline=None)
-    def test_paired_columns(self, n, seed):
-        """An (n, 2) right-hand side matches the dense solve, and each
+    def test_paired_columns(self, n, seed, cols):
+        """An (n, ...) right-hand side matches the dense solve, and each
         column is bit for bit the 1-D solve of that column."""
-        rng = np.random.default_rng(seed)
-        lower = rng.normal(size=n)
-        upper = rng.normal(size=n)
-        diag = 3.0 + np.abs(lower) + np.abs(upper) + rng.random(n)
-        rhs = rng.normal(size=(n, 2))
-        x_ref = np.linalg.solve(_dense(lower, diag, upper), rhs)
+        off, diag, rhs = _system(np.random.default_rng(seed), n, cols)
+        x_ref = np.linalg.solve(_dense(off, diag),
+                                rhs.reshape(n, -1)).reshape(rhs.shape)
         for solve in SOLVERS:
-            x = solve(lower, diag, upper, rhs)
-            assert x.shape == (n, 2)
+            x = solve(off, diag, rhs)
+            assert x.shape == rhs.shape
             np.testing.assert_allclose(x, x_ref, atol=1e-12, rtol=1e-12)
-            for k in (0, 1):
-                assert np.array_equal(
-                    x[:, k], solve(lower, diag, upper, rhs[:, k]))
+            for k in np.ndindex(cols):
+                col = (slice(None),) + k
+                assert np.array_equal(x[col], solve(off, diag, rhs[col]))
 
     @pytest.mark.parametrize("shape", [(1,), (1, 2), (2,), (2, 2)])
     def test_smallest_systems(self, shape):
         n = shape[0]
-        lower = np.array([7.0, -1.0][:n])     # lower[0] is ignored
+        off = np.array([-1.0][:n - 1])
         diag = np.array([4.0, 3.0][:n])
-        upper = np.array([0.5, 9.0][:n])      # upper[-1] is ignored
         rhs = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
         for solve in SOLVERS:
-            x = solve(lower, diag, upper, rhs)
+            x = solve(off, diag, rhs)
             assert x.shape == shape
             np.testing.assert_allclose(
-                x, np.linalg.solve(_dense(lower, diag, upper), rhs),
+                x, np.linalg.solve(_dense(off, diag), rhs),
                 atol=1e-15, rtol=1e-15)
 
     def test_zero_pivot(self):
+        """A pivot that is zero or negative raises on both paths: dptsv
+        needs a positive definite matrix."""
         for solve in SOLVERS:
             for cols in ((), (2,)):
-                with pytest.raises(ZeroDivisionError):
-                    solve(np.zeros(3), np.zeros(3), np.zeros(3),
-                          np.ones((3,) + cols))
-                # a pivot that vanishes only after elimination: 1 - 1*1 = 0
-                with pytest.raises(ZeroDivisionError):
-                    solve(np.array([0.0, 1.0]), np.ones(2),
-                          np.array([1.0, 0.0]), np.ones((2,) + cols))
+                for off, diag in (
+                        (np.zeros(2), np.zeros(3)),
+                        (0.0, np.array([1.0, -2.0, 1.0])),
+                        # a pivot that vanishes only after elimination:
+                        # 1 - 1*1 = 0, and one that turns negative
+                        (np.array([1.0]), np.ones(2)),
+                        (np.array([2.0]), np.ones(2))):
+                    with pytest.raises(ZeroDivisionError):
+                        solve(off, diag, np.ones((len(diag),) + cols))
 
     def test_empty_system(self):
         for solve in SOLVERS:
             for cols in ((), (2,)):
                 with pytest.raises(ValueError,
                                    match="empty tridiagonal system"):
-                    solve(np.zeros(0), np.zeros(0), np.zeros(0),
-                          np.zeros((0,) + cols))
+                    solve(np.zeros(0), np.zeros(0), np.zeros((0,) + cols))
+
+    def test_lengths_checked(self):
+        for solve in SOLVERS:
+            for off, rhs in ((np.ones(3), np.ones(3)),
+                             (np.ones(2), np.ones(4))):
+                with pytest.raises(ValueError, match="off must broadcast"):
+                    solve(off, np.full(3, 4.0), rhs)
 
     @pytest.mark.parametrize("n", [1, 2, 31])
     def test_inputs_kept(self, n):
-        """The four inputs are left as they were and share no memory
+        """The three inputs are left as they were and share no memory
         with the result; integer and strided inputs solve to the bits
         of contiguous float64 copies."""
         rng = np.random.default_rng(n)
         for solve in SOLVERS:
             for cols in ((), (2,)):
-                ints = [rng.integers(-3, 4, n), 10 + rng.integers(0, 5, n),
-                        rng.integers(-3, 4, n),
+                ints = [rng.integers(-3, 4, n - 1),
+                        10 + rng.integers(0, 5, n),
                         rng.integers(-9, 10, (n,) + cols)]
-                lower, upper = rng.normal(size=n), rng.normal(size=n)
-                reals = [lower, 3.0 + np.abs(lower) + np.abs(upper)
-                         + rng.random(n), upper,
-                         rng.normal(size=(n,) + cols)]
+                reals = list(_system(rng, n, cols))
                 strided = [_strided(a) for a in reals]
                 for system in (ints, reals, strided):
                     want = solve(*[np.array(a, dtype=np.float64)
@@ -174,58 +193,140 @@ class TestTridiag:
                         assert a.tobytes() == k.tobytes()
                         assert not np.shares_memory(x, a)
 
-
     @given(st.integers(min_value=1, max_value=6),
-           st.integers(min_value=1, max_value=40), st.integers(0, 2 ** 31),
-           st.sampled_from([(), (2,)]))
+           st.integers(min_value=2, max_value=40), st.integers(0, 2 ** 31),
+           st.sampled_from([(), (2,)]), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_block_diagonal_matches_per_block(self, blocks, n, seed, cols):
+    def test_block_diagonal_matches_per_block(self, blocks, n, seed, cols,
+                                              column):
         """R systems stacked into one block-diagonal system, with zero
         couplings across the block edges, solve bit for bit as R calls,
-        on both paths; _solve_blocks builds that system from (R, n)
-        bands whose edge entries it ignores."""
+        on both paths; _solve_blocks builds that system from an (R, n)
+        diagonal and an off band of (R, n - 1) entries or an (R, 1)
+        column, one value per block. Blocks have two unknowns or more:
+        dptsv scales a one-unknown system by 1 / diag, where a block of
+        a larger system is divided by its diag."""
         rng = np.random.default_rng(seed)
-        lower = rng.normal(size=(blocks, n))
-        upper = rng.normal(size=(blocks, n))
-        diag = 3.0 + np.abs(lower) + np.abs(upper) + rng.random((blocks, n))
-        rhs = rng.normal(size=(blocks, n) + cols)
-        edged_lower, edged_upper = lower.copy(), upper.copy()
-        lower[:, 0] = 0.0
-        upper[:, -1] = 0.0
+        systems = [_system(rng, n, cols) for _ in range(blocks)]
+        off, diag, rhs = (np.stack(parts) for parts in zip(*systems))
+        if column:
+            off = off[:, :1]
+            diag = diag + 2 * np.abs(off)
+        band = np.zeros((blocks, n))
+        band[:, :-1] = off
         for solve in SOLVERS:
-            x = solve(lower.ravel(), diag.ravel(), upper.ravel(),
+            x = solve(band.ravel()[:-1], diag.ravel(),
                       rhs.reshape((blocks * n,) + cols))
             for r in range(blocks):
                 assert np.array_equal(x[r * n:(r + 1) * n],
-                                      solve(lower[r], diag[r], upper[r],
-                                            rhs[r]))
-        x = _solve_blocks(edged_lower, diag, edged_upper, rhs)
+                                      solve(band[r, :-1], diag[r], rhs[r]))
+        x = _solve_blocks(off, diag, rhs)
         assert x.shape == rhs.shape
         for r in range(blocks):
             assert np.array_equal(
-                x[r], tridiag_solve(lower[r], diag[r], upper[r], rhs[r]))
+                x[r], tridiag_solve(band[r, :-1], diag[r], rhs[r]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("band", ["lower", "diag", "upper", "rhs"])
     def test_nonfinite_block_stays_in_its_block(self, bad, band):
         """Each block, the one that is not finite too, is what its own
         call gives; through the zeroed couplings 0 * nan would otherwise
-        reach every block."""
+        reach every block. lower and upper are the off-band entries that
+        couple row 10 to rows 9 and 11; the diagonal of the two rows an
+        entry couples takes it in, as the builders' diagonals do, so the
+        bad block is not finite where it would otherwise be indefinite."""
         rng = np.random.default_rng(2)
         blocks, n = 5, 31
-        sys = {"lower": rng.normal(size=(blocks, n)),
-               "upper": rng.normal(size=(blocks, n)),
-               "rhs": rng.normal(size=(blocks, n, 2))}
-        sys["diag"] = (3.0 + np.abs(sys["lower"]) + np.abs(sys["upper"])
-                       + rng.random((blocks, n)))
-        sys[band][2, 10] = bad
-        x = _solve_blocks(sys["lower"], sys["diag"], sys["upper"],
-                          sys["rhs"])
+        off, diag, rhs = (np.stack(parts) for parts in zip(
+            *[_system(rng, n, (2,)) for _ in range(blocks)]))
+        array, index = {"lower": (off, 9), "upper": (off, 10),
+                        "diag": (diag, 10), "rhs": (rhs, 10)}[band]
+        array[2, index] = bad
+        if array is off:
+            diag[2, index:index + 2] += abs(bad)
+        x = _solve_blocks(off, diag, rhs)
         for r in range(blocks):
-            assert np.array_equal(x[r], tridiag_solve(
-                sys["lower"][r], sys["diag"][r], sys["upper"][r],
-                sys["rhs"][r]), equal_nan=True)
+            assert np.array_equal(x[r], tridiag_solve(off[r], diag[r],
+                                                      rhs[r]),
+                                  equal_nan=True)
         assert np.isfinite(np.delete(x, 2, axis=0)).all()
+
+
+class TestSystems:
+    """Every implicit system is one symmetric band and a diagonal that
+    is positive and strictly dominates its row, which makes the matrix
+    positive definite: what dptsv needs."""
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_symmetric_positive_dominant(self, batch):
+        """For one state, and for a batch with a mu = 0 row, with u, w,
+        b and every forcing nonzero."""
+        grid = GridSpec(24)
+        n = grid.n_cells
+        dt = 2e-3
+        rng = np.random.default_rng(5)
+        mu = np.array([0.0, 1e-3, 5e-2])
+        states = [_random_transverse_state(grid, rng) for _ in mu]
+        fields = {name: np.stack([getattr(s, name) for s in states])
+                  for name in ("rho", "u", "w", "b")}
+        fields["theta"] = 0.5 + rng.random((len(mu), n))
+        fields["rho_new"] = 0.5 + rng.random((len(mu), n))
+        params = solver._with_mu(PhysParams(lam=0.2, nu=0.3), mu)
+        if not batch:
+            fields = {name: f[2] for name, f in fields.items()}
+            params = PhysParams(mu=mu[2], lam=0.2, nu=0.3)
+        rho, u, w, b, theta, rho_new = (fields[name] for name in (
+            "rho", "u", "w", "b", "theta", "rho_new"))
+        systems = [
+            velocity_system(grid, params, dt, rho_new, u, theta, b,
+                            rng.normal(size=n + 1)),
+            transverse_system(grid, params, dt, rho_new, u, w, b, 0.3, -0.2,
+                              rng.normal(size=(n + 1, 2))),
+            induction_system(grid, params, dt, u, w, b,
+                             rng.normal(size=(n + 1, 2))),
+            temperature_system(grid, params, dt, rho, rho_new, theta, u, w,
+                               b, rng.normal(size=n))]
+        for off, diag, rhs in systems:
+            m = diag.shape[-1]
+            band = np.broadcast_to(off, diag.shape[:-1] + (m - 1,))
+            reach = np.zeros(diag.shape)
+            reach[..., 1:] += np.abs(band)
+            reach[..., :-1] += np.abs(band)
+            assert (diag > 0).all()
+            assert (diag > reach).all()
+            # one band is a symmetric matrix; cholesky raises unless it
+            # is positive definite too
+            for e, d in zip(band.reshape(-1, m - 1), diag.reshape(-1, m)):
+                np.linalg.cholesky(_dense(e, d))
+
+    def test_induction_is_one_system_for_every_member(self):
+        """advance_induction solves the one matrix of every member and
+        component as 2R columns: bit for bit the block solve of R copies
+        and each member alone, and a nan stays in its own column."""
+        grid = GridSpec(24)
+        dt = 2e-3
+        rng = np.random.default_rng(9)
+        params = PhysParams(nu=0.3)
+        states = [_random_transverse_state(grid, rng) for _ in range(3)]
+        batch = FlowState(t=0.0, **{
+            name: np.stack([getattr(s, name) for s in states])
+            for name in STATE_FIELDS})
+        u_new = 0.9 * batch.u
+        w_new = batch.w + rng.normal(0, 0.1, batch.w.shape)
+        got = advance_induction(batch, grid, dt, params, u_new, w_new)
+        off, diag, rhs = induction_system(grid, params, dt, u_new, w_new,
+                                          batch.b)
+        blocks = _solve_blocks(off, np.broadcast_to(diag, rhs.shape[:-1]),
+                               rhs)
+        assert np.array_equal(got[:, 1:-1], blocks)
+        for m, state in enumerate(states):
+            assert np.array_equal(got[m], advance_induction(
+                state, grid, dt, params, u_new[m], w_new[m])), m
+        w_new[1, 5, 0] = np.nan
+        bad = advance_induction(batch, grid, dt, params, u_new, w_new)
+        assert np.isnan(bad[1, :, 0]).any()
+        assert np.array_equal(bad[1, :, 1], got[1, :, 1])
+        assert np.array_equal(bad[[0, 2]], got[[0, 2]])
 
 
 class TestTimeConfig:
